@@ -4,13 +4,14 @@
  * failures.
  *
  * Two sweeps:
- *  1. Engine matrix — every restore-stack fault point × every fallback
- *     policy, one cold start each (the fault fires on the first attempt
- *     only), reporting the outcome and the latency the degraded path
- *     paid on top of a clean restore.
+ *  1. Engine matrix — every fault point on the image restore path (image
+ *     open, then the restore stack) × every fallback policy, one cold
+ *     start each (the fault fires on the first hit only), reporting the
+ *     outcome and the latency the degraded path paid on top of a clean
+ *     restore. The bench fails if a listed point never fires.
  *  2. Trace sweep — the §7.5 ShareGPT-like trace replayed against a
  *     Medusa-profiled cluster with 0%, 1% and 5% of cold-start restores
- *     failing (artifact corruption on the node), under
+ *     failing (image corruption on the node), under
  *     retry-then-vanilla: p50/p99 TTFT and the failure accounting.
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
@@ -23,11 +24,12 @@
 
 #include "bench/bench_util.h"
 #include "common/fault.h"
+#include "medusa/artifact_cache.h"
 #include "medusa/restore.h"
 #include "serverless/cluster.h"
 
 using namespace medusa;
-using bench::materializeCached;
+using bench::materializeImageCached;
 using bench::unwrap;
 
 namespace {
@@ -37,6 +39,7 @@ struct MatrixCell
     std::string point;
     std::string policy;
     bool ok = false;
+    bool fired = false;
     bool fallback_vanilla = false;
     u64 attempts = 0;
     u64 retries = 0;
@@ -58,9 +61,13 @@ policyName(core::FallbackMode mode)
     return "?";
 }
 
-/** One cold start with @p point firing on the first attempt only. */
+/**
+ * One image open + cold start with @p point firing on its first hit
+ * only. An open failure precedes every restore attempt, so no fallback
+ * policy can absorb it: the cell fails under each of them.
+ */
 MatrixCell
-runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
+runCell(const llm::ModelConfig &model, std::span<const u8> image_bytes,
         FaultPoint point, core::FallbackMode mode)
 {
     FaultPlan plan;
@@ -80,8 +87,15 @@ runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
     MatrixCell cell;
     cell.point = faultPointName(point);
     cell.policy = policyName(mode);
-    auto engine = core::MedusaEngine::coldStart(opts, artifact);
+    core::ImageReadOptions ropts;
+    ropts.fault = &injector;
+    auto image = core::MaterializedImage::openView(image_bytes, ropts);
+    auto engine = image.isOk()
+                      ? core::MedusaEngine::coldStartFromImage(opts, *image)
+                      : StatusOr<std::unique_ptr<core::MedusaEngine>>(
+                            image.status());
     cell.ok = engine.isOk();
+    cell.fired = injector.totalFires() > 0;
     if (engine.isOk()) {
         const core::RestoreReport &r = (*engine)->coldStartReport().restore;
         cell.fallback_vanilla = r.fallback_vanilla;
@@ -89,10 +103,6 @@ runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
         cell.retries = r.retries;
         cell.loading_sec = (*engine)->coldStartReport().times.loading;
         cell.wasted_sec = r.wasted_restore_sec;
-    } else if (injector.totalFires() == 0) {
-        // The point never fired (not on this restore path): mark the
-        // row invalid rather than report a misleading failure.
-        cell.policy += " (point not on path)";
     }
     return cell;
 }
@@ -133,14 +143,19 @@ main(int argc, char **argv)
 
     const llm::ModelConfig model =
         unwrap(llm::findModel(model_name), "model lookup");
-    const core::Artifact artifact =
-        unwrap(materializeCached(model), "materialization");
+    const std::vector<u8> image_bytes =
+        unwrap(materializeImageCached(model), "materialization");
+    const std::span<const u8> image_view(image_bytes);
+    const core::MaterializedImage image =
+        unwrap(core::MaterializedImage::openView(image_view), "image open");
 
     // ---- engine matrix: fault point × fallback policy -------------------
-    // Points that sit on the single-GPU restore path, in stack order.
+    // Points that sit on the single-GPU image restore path, in stack
+    // order.
     const FaultPoint points[] = {
-        FaultPoint::kReplayPrefix,   FaultPoint::kReplayAlloc,
-        FaultPoint::kKernelDlsym,    FaultPoint::kKernelEnumeration,
+        FaultPoint::kImageOpen,        FaultPoint::kReplayPrefix,
+        FaultPoint::kReplayAlloc,      FaultPoint::kKernelDlsym,
+        FaultPoint::kKernelEnumeration, FaultPoint::kImagePatch,
         FaultPoint::kGraphInstantiate,
     };
     const core::FallbackMode modes[] = {
@@ -157,7 +172,7 @@ main(int argc, char **argv)
         opts.aslr_seed = 20250805;
         opts.restore.pipeline.validate = true;
         opts.restore.pipeline.validate_batch_sizes = {1};
-        auto engine = core::MedusaEngine::coldStart(opts, artifact);
+        auto engine = core::MedusaEngine::coldStartFromImage(opts, image);
         bench::checkOk(engine.status(), "clean restore");
         clean_loading = (*engine)->coldStartReport().times.loading;
     }
@@ -165,19 +180,26 @@ main(int argc, char **argv)
     std::vector<MatrixCell> matrix;
     for (FaultPoint point : points) {
         for (core::FallbackMode mode : modes) {
-            matrix.push_back(runCell(model, artifact, point, mode));
+            matrix.push_back(runCell(model, image_view, point, mode));
+        }
+    }
+    for (const MatrixCell &c : matrix) {
+        if (!c.fired) {
+            std::fprintf(stderr, "FAIL: fault point %s never fired\n",
+                         c.point.c_str());
+            return 1;
         }
     }
 
-    // ---- §7.5 trace under artifact corruption ----------------------------
+    // ---- §7.5 trace under image corruption -------------------------------
     serverless::ProfileOptions popts;
     popts.model = model;
     popts.strategy = llm::Strategy::kMedusa;
-    popts.artifact = &artifact;
+    popts.image = &image;
     const serverless::ServingProfile medusa_profile =
         unwrap(serverless::buildServingProfile(popts), "medusa profile");
     popts.strategy = llm::Strategy::kVllm;
-    popts.artifact = nullptr;
+    popts.image = nullptr;
     const serverless::ServingProfile vllm_profile =
         unwrap(serverless::buildServingProfile(popts), "vllm profile");
 
@@ -188,10 +210,13 @@ main(int argc, char **argv)
     const std::vector<workload::Request> trace =
         workload::generateShareGptTrace(topts);
 
-    // Shared per-node artifact store: the sweep's first launch loads,
+    // Shared per-node image store: the sweep's first launch loads,
     // every later one hits. Zero latency impact (miss cost 0) — it
     // exists so a traced run shows the cache.load/cache.hit events.
-    core::ArtifactCache artifact_cache(4);
+    core::ImageCache image_cache(4);
+    auto image_loader = [image_view]() {
+        return core::MaterializedImage::openView(image_view);
+    };
 
     std::vector<TraceRow> rows;
     u32 sweep_track = 0;
@@ -207,11 +232,9 @@ main(int argc, char **argv)
         copts.pipeline.trace =
             reporter.trace() != nullptr ? &run_trace : nullptr;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &artifact_cache;
+        copts.artifact_cache = &image_cache;
         copts.artifact_key = model.name;
-        copts.artifact_loader = [&artifact]() -> StatusOr<core::Artifact> {
-            return core::Artifact(artifact);
-        };
+        copts.artifact_loader = image_loader;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         // A launch that degrades pays the classic cold start.
@@ -274,11 +297,9 @@ main(int argc, char **argv)
         copts.pipeline.fault = &injector;
         copts.pipeline.trace = &run_trace;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &artifact_cache;
+        copts.artifact_cache = &image_cache;
         copts.artifact_key = model.name;
-        copts.artifact_loader = [&artifact]() -> StatusOr<core::Artifact> {
-            return core::Artifact(artifact);
-        };
+        copts.artifact_loader = image_loader;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         copts.vanilla_cold_start_sec = vllm_profile.cold_start_sec;
@@ -345,7 +366,7 @@ main(int argc, char **argv)
                         c.loading_sec);
         }
         std::printf("\n--- §7.5 trace (%zu requests, RPS %.0f) under "
-                    "artifact corruption, retry-then-vanilla ---\n",
+                    "image corruption, retry-then-vanilla ---\n",
                     trace.size(), topts.requests_per_sec);
         std::printf("%-10s %10s %10s %8s %8s %8s %8s %10s\n",
                     "corruption", "p50 TTFT", "p99 TTFT", "colds",

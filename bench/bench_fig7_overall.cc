@@ -31,8 +31,8 @@ main()
     int count = 0;
 
     for (const llm::ModelConfig &model : llm::modelZoo()) {
-        auto artifact = bench::unwrap(bench::materializeCached(model),
-                                      model.name.c_str());
+        const auto image = bench::unwrap(bench::openImageCached(model),
+                                         model.name.c_str());
 
         llm::BaselineEngine::Options bopts;
         bopts.model = model;
@@ -48,7 +48,7 @@ main()
         mopts.model = model;
         mopts.warm_container = false;
         auto medusa = bench::unwrap(
-            core::MedusaEngine::coldStart(mopts, artifact), "Medusa");
+            core::MedusaEngine::coldStartFromImage(mopts, image), "Medusa");
 
         const f64 l_vllm = vllm->coldStartReport().times.loading;
         const f64 l_async = async->coldStartReport().times.loading;

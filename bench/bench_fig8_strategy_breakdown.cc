@@ -50,8 +50,8 @@ main(int argc, char **argv)
     bench::Reporter reporter(argc, argv);
     auto model =
         bench::unwrap(llm::findModel("Qwen1.5-4B"), "findModel");
-    auto artifact = bench::unwrap(bench::materializeCached(model),
-                                  "materialize");
+    const auto image =
+        bench::unwrap(bench::openImageCached(model), "materialize");
 
     llm::BaselineEngine::Options bopts;
     bopts.model = model;
@@ -65,7 +65,7 @@ main(int argc, char **argv)
     mopts.model = model;
     mopts.restore.pipeline.metrics = reporter.metrics();
     auto medusa = bench::unwrap(
-        core::MedusaEngine::coldStart(mopts, artifact), "Medusa");
+        core::MedusaEngine::coldStartFromImage(mopts, image), "Medusa");
 
     const Stages v(vllm->coldStartReport());
     const Stages a(async->coldStartReport());

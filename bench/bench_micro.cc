@@ -181,7 +181,10 @@ runTracedColdStart(bench::Reporter &reporter)
     eopts.model = oopts.model;
     eopts.restore.pipeline.trace = reporter.trace();
     eopts.restore.pipeline.metrics = reporter.metrics();
-    auto engine = core::MedusaEngine::coldStart(eopts, offline->artifact);
+    auto image = core::MaterializedImage::openView(
+        std::span<const u8>(offline->image_bytes));
+    bench::checkOk(image.status(), "open image");
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, *image);
     bench::checkOk(engine.status(), "cold start");
     reporter.setTrackName(0, "medusa");
 }

@@ -8,7 +8,7 @@
  *  2. DEFERRED CAPTURE does not remove the capturing cost; it delays
  *     and disperses it into serving-time latency spikes.
  *  3. CHECKPOINT/RESTORE restores fast but its image is the whole
- *     device footprint (tens of GB) vs Medusa's few-MB artifact.
+ *     device footprint (tens of GB) vs Medusa's few-MB image.
  */
 
 #include <cstdio>
@@ -25,8 +25,8 @@ main()
 {
     auto model = bench::unwrap(llm::findModel("Qwen1.5-4B"),
                                "findModel");
-    auto artifact = bench::unwrap(bench::materializeCached(model),
-                                  "materialize");
+    const auto medusa_image =
+        bench::unwrap(bench::openImageCached(model), "materialize");
 
     // ---- shared trace ------------------------------------------------
     workload::TraceOptions topts;
@@ -39,7 +39,7 @@ main()
         serverless::ProfileOptions popts;
         popts.model = model;
         popts.strategy = s;
-        popts.artifact = &artifact;
+        popts.image = &medusa_image;
         return bench::unwrap(serverless::buildServingProfile(popts),
                              "profile");
     };
@@ -133,7 +133,8 @@ main()
     core::MedusaEngine::Options mopts;
     mopts.model = model;
     auto medusa = bench::unwrap(
-        core::MedusaEngine::coldStart(mopts, artifact), "medusa");
+        core::MedusaEngine::coldStartFromImage(mopts, medusa_image),
+        "medusa");
 
     std::printf("%-22s %12s %14s\n", "approach", "loading (s)",
                 "persisted state");
@@ -144,12 +145,12 @@ main()
                 formatBytes(image.totalBytes()).c_str());
     std::printf("%-22s %12.2f %14s\n", "Medusa",
                 medusa->coldStartReport().times.loading,
-                formatBytes(artifact.serialize().size()).c_str());
+                formatBytes(medusa_image.serialized_size).c_str());
     std::printf("\n-> a full checkpoint restores in one sequential "
                 "read but ships the whole device footprint;\n   Medusa "
                 "materializes only what cannot be cheaply rebuilt "
                 "(%llux smaller state).\n",
                 static_cast<unsigned long long>(
-                    image.totalBytes() / artifact.serialize().size()));
+                    image.totalBytes() / medusa_image.serialized_size));
     return 0;
 }

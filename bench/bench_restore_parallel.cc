@@ -1,27 +1,24 @@
 /**
  * @file
- * Host wall-clock benchmark of the restore pipeline: artifact parse
- * (serial vs multi-threaded vs contents-skipping), v6 image open, the
- * two cold-start paths — v5 parse + graph rebuild vs v6 open +
- * relocation patch (DESIGN.md §13) — and the materialization caches
- * (miss vs hit, artifact and image).
+ * Host wall-clock benchmark of the restore pipeline: v6 image open, the
+ * Medusa cold start (image open + relocation patch, DESIGN.md §13)
+ * against the vanilla profile+capture cold start it replaces, and the
+ * image cache (miss vs hit).
  *
  * Everything here measures *host* time — the simulator's own speed.
  * Two invariants are asserted and reported:
- *   - determinism: the rebuild path's simulated StageTimes and
- *     RestoreReport are bit-identical across restore thread counts
+ *   - determinism: the patch path's simulated StageTimes and
+ *     RestoreReport are bit-identical across trials
  *     (`simulated_identical`);
- *   - fidelity: the patch path lands the engine in a state with the
- *     same process fingerprint and decode logits as the rebuild path
+ *   - fidelity: the restored engine decodes bs=1 logits bit-identical
+ *     to the vanilla cold start's, with an identical module table
  *     (`fidelity_identical`). The two paths legitimately differ in
- *     simulated duration and in how kernels were resolved (per-node vs
- *     per-unique-kernel), so those are reported, not compared.
+ *     simulated duration, so that is reported, not compared.
  *
- * Trials of the timed arms are interleaved with a rotating start order
- * and preceded by an untimed warmup of every arm, so no arm
- * systematically benefits from allocator / page-cache state the
- * earlier arms warmed up. Cache benchmarks reset cache state between
- * miss trials.
+ * Trials of the timed arms are interleaved with an alternating start
+ * order and preceded by an untimed warmup of both arms, so neither arm
+ * systematically benefits from allocator / page-cache state the other
+ * warmed up. Cache benchmarks reset cache state between miss trials.
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
  * it as BENCH_restore.json).
@@ -29,13 +26,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
+#include "llm/engine.h"
 #include "llm/model_config.h"
 #include "medusa/artifact_cache.h"
 #include "medusa/restore.h"
@@ -70,62 +66,30 @@ struct ColdStartSample
     f64 wall_ms = 0;
     llm::StageTimes times;
     core::RestoreReport report;
-    /** Post-restore process state fingerprint (fidelity witness). */
-    u64 fingerprint = 0;
-    /** Decode logits for bs=1 on the restored graphs (fidelity). */
+    /** Module-table fingerprint (fidelity witness). */
+    u64 modules = 0;
+    /** Decode logits for bs=1 on the engine's graphs (fidelity). */
     std::vector<f32> logits;
 };
 
-/**
- * One rebuild-path cold start: v5 parse + coldStart (graph rebuild).
- * The parse is inside the timed window — it is part of what a
- * serverless cold start pays. @p probe additionally snapshots the
- * fidelity witnesses (outside the timed window).
- */
-ColdStartSample
-runRebuildArm(const llm::ModelConfig &model,
-              std::span<const u8> artifact_bytes, u32 restore_threads,
-              bool probe = false, TraceRecorder *trace = nullptr,
-              MetricsRegistry *metrics = nullptr)
+/** Snapshot the fidelity witnesses of a cold-started runtime. */
+void
+probe(llm::ModelRuntime &rt, ColdStartSample &s)
 {
-    ColdStartSample s;
-    const auto start = SteadyClock::now();
-    core::ArtifactReadOptions ro;
-    ro.threads = restore_threads;
-    auto artifact = unwrap(
-        core::Artifact::deserializeView(artifact_bytes, ro),
-        "rebuild arm parse");
-    core::MedusaEngine::Options opts;
-    opts.model = model;
-    opts.restore.restore_threads = restore_threads;
-    opts.restore.pipeline.trace = trace;
-    opts.restore.pipeline.metrics = metrics;
-    auto engine = unwrap(core::MedusaEngine::coldStart(opts, artifact),
-                         "rebuild cold start");
-    s.wall_ms = msBetween(start, SteadyClock::now());
-    s.times = engine->coldStartReport().times;
-    s.report = engine->coldStartReport().restore;
-    if (probe) {
-        llm::ModelRuntime &rt = engine->runtime();
-        // Logical fingerprint: the patch path reaches the same state
-        // at an earlier simulated clock, so time-derived stream
-        // readiness is excluded; the allocator digest rides along.
-        s.fingerprint = rt.process().logicalStateFingerprint() ^
-                        (rt.allocator().stateFingerprint() * 31);
-        checkOk(rt.stageValidationState(1), "rebuild stage state");
-        s.logits = unwrap(rt.graphDecodeLogits(1), "rebuild logits");
-    }
-    return s;
+    s.modules = rt.process().modules().stateFingerprint();
+    checkOk(rt.stageValidationState(1), "stage state");
+    s.logits = unwrap(rt.graphDecodeLogits(1), "logits");
 }
 
 /**
- * One patch-path cold start: v6 open + coldStartFromImage (relocation
- * patch, no graph rebuild). Open is inside the timed window.
+ * One Medusa cold start: v6 open + coldStartFromImage (relocation
+ * patch). Open is inside the timed window — it is part of what a
+ * serverless cold start pays. @p with_probe additionally snapshots the
+ * fidelity witnesses (outside the timed window).
  */
 ColdStartSample
-runPatchArm(const llm::ModelConfig &model,
-            std::span<const u8> image_bytes, u32 restore_threads,
-            bool probe = false, TraceRecorder *trace = nullptr,
+runPatchArm(const llm::ModelConfig &model, std::span<const u8> image_bytes,
+            bool with_probe = false, TraceRecorder *trace = nullptr,
             MetricsRegistry *metrics = nullptr)
 {
     ColdStartSample s;
@@ -134,7 +98,6 @@ runPatchArm(const llm::ModelConfig &model,
                         "patch arm open");
     core::MedusaEngine::Options opts;
     opts.model = model;
-    opts.restore.restore_threads = restore_threads;
     opts.restore.pipeline.trace = trace;
     opts.restore.pipeline.metrics = metrics;
     auto engine =
@@ -143,15 +106,31 @@ runPatchArm(const llm::ModelConfig &model,
     s.wall_ms = msBetween(start, SteadyClock::now());
     s.times = engine->coldStartReport().times;
     s.report = engine->coldStartReport().restore;
-    if (probe) {
-        llm::ModelRuntime &rt = engine->runtime();
-        // Logical fingerprint: the patch path reaches the same state
-        // at an earlier simulated clock, so time-derived stream
-        // readiness is excluded; the allocator digest rides along.
-        s.fingerprint = rt.process().logicalStateFingerprint() ^
-                        (rt.allocator().stateFingerprint() * 31);
-        checkOk(rt.stageValidationState(1), "patch stage state");
-        s.logits = unwrap(rt.graphDecodeLogits(1), "patch logits");
+    if (with_probe) {
+        probe(engine->runtime(), s);
+    }
+    return s;
+}
+
+/**
+ * One vanilla cold start (profile + capture), with the ASLR seed of the
+ * Medusa engine so the module tables are comparable.
+ */
+ColdStartSample
+runVanillaArm(const llm::ModelConfig &model, bool with_probe = false)
+{
+    ColdStartSample s;
+    const auto start = SteadyClock::now();
+    llm::BaselineEngine::Options opts;
+    opts.model = model;
+    opts.strategy = llm::Strategy::kVllm;
+    opts.aslr_seed = core::MedusaEngine::Options{}.aslr_seed;
+    auto engine =
+        unwrap(llm::BaselineEngine::coldStart(opts), "vanilla cold start");
+    s.wall_ms = msBetween(start, SteadyClock::now());
+    s.times = engine->coldStartReport().times;
+    if (with_probe) {
+        probe(engine->runtime(), s);
     }
     return s;
 }
@@ -187,7 +166,6 @@ run(int argc, char **argv)
     Reporter reporter(argc, argv);
     bool json = false;
     std::string model_name = "Llama2-13B";
-    u32 threads = 0; // 0 = hardware concurrency
     int reps = 3;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -195,156 +173,78 @@ run(int argc, char **argv)
             json = true;
         } else if (arg.rfind("--model=", 0) == 0) {
             model_name = arg.substr(8);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
         } else if (arg.rfind("--reps=", 0) == 0) {
             reps = std::stoi(arg.substr(7));
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--json] [--model=NAME] "
-                         "[--threads=N] [--reps=N]\n",
+                         "usage: %s [--json] [--model=NAME] [--reps=N]\n",
                          argv[0]);
             return 2;
         }
     }
-    const u32 hw = ThreadPool::hardwareThreads();
-    if (threads == 0) {
-        threads = hw;
-    }
 
     const llm::ModelConfig model =
         unwrap(llm::findModel(model_name), "model lookup");
-    const core::Artifact artifact =
-        unwrap(materializeCached(model), "materialization");
-    const std::vector<u8> bytes = artifact.serialize();
     const std::vector<u8> image_bytes =
         unwrap(materializeImageCached(model), "image materialization");
-    const std::span<const u8> view(bytes);
     const std::span<const u8> image_view(image_bytes);
+    const auto image = unwrap(core::MaterializedImage::openView(image_view),
+                              "image open");
 
-    // ---- artifact parse / image open --------------------------------------
-    const f64 parse_serial_ms = bestMs(reps, [&]() {
-        core::ArtifactReadOptions o;
-        auto a = core::Artifact::deserializeView(view, o);
-        checkOk(a.status(), "serial parse");
-    });
-    const f64 parse_parallel_ms = bestMs(reps, [&]() {
-        core::ArtifactReadOptions o;
-        o.threads = threads;
-        auto a = core::Artifact::deserializeView(view, o);
-        checkOk(a.status(), "parallel parse");
-    });
-    const f64 parse_skip_contents_ms = bestMs(reps, [&]() {
-        core::ArtifactReadOptions o;
-        o.load_permanent_contents = false;
-        auto a = core::Artifact::deserializeView(view, o);
-        checkOk(a.status(), "skip-contents parse");
-    });
-    // The pre-zero-copy baseline: hand the parser an owned copy.
-    const f64 parse_owning_ms = bestMs(reps, [&]() {
-        auto a = core::Artifact::deserialize(bytes);
-        checkOk(a.status(), "owning parse");
-    });
     const f64 image_open_ms = bestMs(reps, [&]() {
         auto img = core::MaterializedImage::openView(image_view);
         checkOk(img.status(), "image open");
     });
 
-    // ---- cold start: rebuild (1 and N threads) vs relocation patch --------
-    // Untimed warmup of every arm first, then interleaved trials with a
-    // rotating start order: no arm gets a systematic warm-state edge.
-    runRebuildArm(model, view, 1);
-    runRebuildArm(model, view, threads);
-    runPatchArm(model, image_view, threads);
+    // ---- cold start: vanilla vs relocation patch --------------------------
+    // Untimed warmup of both arms first, then interleaved trials with an
+    // alternating start order: no arm gets a systematic warm-state edge.
+    runVanillaArm(model);
+    runPatchArm(model, image_view);
 
-    ColdStartSample serial;
-    ColdStartSample parallel;
+    ColdStartSample vanilla;
     ColdStartSample patch;
-    serial.wall_ms = parallel.wall_ms = patch.wall_ms = 1e300;
+    vanilla.wall_ms = patch.wall_ms = 1e300;
     bool identical = true;
-    auto takeSerial = [&]() {
-        ColdStartSample s = runRebuildArm(model, view, 1);
-        if (serial.wall_ms > 1e299) {
-            serial = std::move(s);
-        } else {
-            identical = identical && sameTimes(serial.times, s.times) &&
-                        sameReport(serial.report, s.report);
-            serial.wall_ms = std::min(serial.wall_ms, s.wall_ms);
-        }
-    };
-    auto takeParallel = [&]() {
-        ColdStartSample s = runRebuildArm(model, view, threads);
-        if (parallel.wall_ms > 1e299) {
-            parallel = std::move(s);
-        } else {
-            parallel.wall_ms = std::min(parallel.wall_ms, s.wall_ms);
-        }
+    auto takeVanilla = [&]() {
+        vanilla.wall_ms =
+            std::min(vanilla.wall_ms, runVanillaArm(model).wall_ms);
     };
     auto takePatch = [&]() {
-        ColdStartSample s = runPatchArm(model, image_view, threads);
+        ColdStartSample s = runPatchArm(model, image_view);
         if (patch.wall_ms > 1e299) {
             patch = std::move(s);
         } else {
+            identical = identical && sameTimes(patch.times, s.times) &&
+                        sameReport(patch.report, s.report);
             patch.wall_ms = std::min(patch.wall_ms, s.wall_ms);
         }
     };
     for (int i = 0; i < reps; ++i) {
-        switch (i % 3) {
-        case 0:
-            takeSerial();
-            takeParallel();
+        if (i % 2 == 0) {
+            takeVanilla();
             takePatch();
-            break;
-        case 1:
-            takeParallel();
+        } else {
             takePatch();
-            takeSerial();
-            break;
-        default:
-            takePatch();
-            takeSerial();
-            takeParallel();
-            break;
+            takeVanilla();
         }
     }
-    identical = identical && sameTimes(serial.times, parallel.times) &&
-                sameReport(serial.report, parallel.report);
 
-    // ---- fidelity: patch path must equal rebuild path -----------------
-    // Asserted once, outside the timed windows (the probes decode).
-    // The probes also carry the --trace-out / --metrics-out sinks, so
-    // the exported trace shows one rebuild and one patch cold start.
-    const ColdStartSample rebuild_probe =
-        runRebuildArm(model, view, threads, /*probe=*/true,
-                      reporter.trace(), reporter.metrics());
+    // ---- fidelity: the restore must equal the vanilla cold start ------
+    // Asserted once, outside the timed windows (the probes decode). The
+    // patch probe also carries the --trace-out / --metrics-out sinks.
+    const ColdStartSample vanilla_probe =
+        runVanillaArm(model, /*with_probe=*/true);
     const ColdStartSample patch_probe =
-        runPatchArm(model, image_view, threads, /*probe=*/true,
+        runPatchArm(model, image_view, /*with_probe=*/true,
                     reporter.trace(), reporter.metrics());
-    const bool fidelity =
-        rebuild_probe.fingerprint == patch_probe.fingerprint &&
-        !rebuild_probe.logits.empty() &&
-        rebuild_probe.logits == patch_probe.logits;
+    const bool fidelity = vanilla_probe.modules == patch_probe.modules &&
+                          !vanilla_probe.logits.empty() &&
+                          vanilla_probe.logits == patch_probe.logits;
 
-    // ---- materialization caches: miss vs hit ------------------------------
+    // ---- image cache: miss vs hit -----------------------------------------
     // Miss trials reset the cache state first so every trial pays a
-    // genuine load; hit trials run against a warm entry.
-    core::ArtifactCache cache;
-    auto loader = [&]() {
-        return core::Artifact::deserializeView(view);
-    };
-    f64 cache_miss_ms = 1e300;
-    for (int i = 0; i < reps; ++i) {
-        cache.clear();
-        const auto start = SteadyClock::now();
-        auto loaded = cache.getOrLoad("bench", loader);
-        cache_miss_ms =
-            std::min(cache_miss_ms, msBetween(start, SteadyClock::now()));
-        checkOk(loaded.status(), "cache miss load");
-    }
-    const f64 cache_hit_ms = bestMs(reps, [&]() {
-        auto again = cache.getOrLoad("bench", loader);
-        checkOk(again.status(), "cache hit load");
-    });
+    // genuine open; hit trials run against a warm entry.
     core::ImageCache image_cache;
     auto image_loader = [&]() {
         return core::MaterializedImage::openView(image_view);
@@ -364,106 +264,65 @@ run(int argc, char **argv)
     });
 
     const f64 coldstart_speedup =
-        serial.wall_ms / std::max(patch.wall_ms, 1e-9);
+        vanilla.wall_ms / std::max(patch.wall_ms, 1e-9);
     if (json) {
         std::printf(
             "{\n"
             "  \"model\": \"%s\",\n"
-            "  \"artifact_bytes\": %zu,\n"
             "  \"image_bytes\": %zu,\n"
             "  \"graphs\": %zu,\n"
             "  \"nodes\": %llu,\n"
-            "  \"hardware_concurrency\": %u,\n"
-            "  \"threads\": %u,\n"
-            "  \"parse_serial_ms\": %.3f,\n"
-            "  \"parse_parallel_ms\": %.3f,\n"
-            "  \"parse_speedup\": %.2f,\n"
-            "  \"parse_skip_contents_ms\": %.3f,\n"
-            "  \"parse_owning_ms\": %.3f,\n"
             "  \"image_open_ms\": %.3f,\n"
-            "  \"coldstart_serial_wall_ms\": %.3f,\n"
-            "  \"coldstart_parallel_wall_ms\": %.3f,\n"
-            "  \"coldstart_thread_speedup\": %.2f,\n"
-            "  \"coldstart_rebuild_wall_ms\": %.3f,\n"
+            "  \"coldstart_vanilla_wall_ms\": %.3f,\n"
             "  \"coldstart_patch_wall_ms\": %.3f,\n"
             "  \"coldstart_speedup\": %.2f,\n"
             "  \"relocations_applied\": %llu,\n"
             "  \"kernels_resolved\": %llu,\n"
             "  \"graphs_patched\": %llu,\n"
-            "  \"simulated_loading_sec\": %.6f,\n"
+            "  \"vanilla_simulated_loading_sec\": %.6f,\n"
             "  \"patch_simulated_loading_sec\": %.6f,\n"
             "  \"simulated_identical\": %s,\n"
             "  \"fidelity_identical\": %s,\n"
-            "  \"cache_miss_ms\": %.3f,\n"
-            "  \"cache_hit_ms\": %.3f,\n"
             "  \"image_cache_miss_ms\": %.3f,\n"
             "  \"image_cache_hit_ms\": %.3f\n"
             "}\n",
-            model.name.c_str(), bytes.size(), image_bytes.size(),
-            artifact.graphs.size(),
-            static_cast<unsigned long long>(artifact.totalNodes()), hw,
-            threads, parse_serial_ms, parse_parallel_ms,
-            parse_serial_ms / std::max(parse_parallel_ms, 1e-9),
-            parse_skip_contents_ms, parse_owning_ms, image_open_ms,
-            serial.wall_ms, parallel.wall_ms,
-            serial.wall_ms / std::max(parallel.wall_ms, 1e-9),
-            serial.wall_ms, patch.wall_ms, coldstart_speedup,
+            model.name.c_str(), image_bytes.size(), image.graphs.size(),
+            static_cast<unsigned long long>(image.total_nodes),
+            image_open_ms, vanilla.wall_ms, patch.wall_ms,
+            coldstart_speedup,
             static_cast<unsigned long long>(
                 patch.report.relocations_applied),
-            static_cast<unsigned long long>(
-                patch.report.kernels_resolved),
-            static_cast<unsigned long long>(
-                patch.report.graphs_patched),
-            parallel.times.loading, patch.times.loading,
-            identical ? "true" : "false",
-            fidelity ? "true" : "false", cache_miss_ms, cache_hit_ms,
+            static_cast<unsigned long long>(patch.report.kernels_resolved),
+            static_cast<unsigned long long>(patch.report.graphs_patched),
+            vanilla_probe.times.loading, patch.times.loading,
+            identical ? "true" : "false", fidelity ? "true" : "false",
             image_cache_miss_ms, image_cache_hit_ms);
     } else {
         std::printf("restore pipeline — %s (%zu graphs, %llu nodes, "
-                    "%zu artifact bytes, %zu image bytes)\n",
-                    model.name.c_str(), artifact.graphs.size(),
-                    static_cast<unsigned long long>(
-                        artifact.totalNodes()),
-                    bytes.size(), image_bytes.size());
-        std::printf("hardware threads: %u, bench threads: %u\n", hw,
-                    threads);
+                    "%zu image bytes)\n",
+                    model.name.c_str(), image.graphs.size(),
+                    static_cast<unsigned long long>(image.total_nodes),
+                    image_bytes.size());
         printRule();
-        std::printf("parse serial        %8.3f ms\n", parse_serial_ms);
-        std::printf("parse %2u threads    %8.3f ms  (%.2fx)\n", threads,
-                    parse_parallel_ms,
-                    parse_serial_ms /
-                        std::max(parse_parallel_ms, 1e-9));
-        std::printf("parse skip contents %8.3f ms\n",
-                    parse_skip_contents_ms);
-        std::printf("parse owning copy   %8.3f ms\n", parse_owning_ms);
         std::printf("image open          %8.3f ms\n", image_open_ms);
         printRule();
-        std::printf("cold start rebuild (1 thread)   %8.3f ms wall\n",
-                    serial.wall_ms);
-        std::printf("cold start rebuild (%2u threads) %8.3f ms wall  "
-                    "(%.2fx)\n",
-                    threads, parallel.wall_ms,
-                    serial.wall_ms / std::max(parallel.wall_ms, 1e-9));
-        std::printf("cold start patch                %8.3f ms wall  "
-                    "(%.2fx, %llu relocations)\n",
+        std::printf("cold start vanilla  %8.3f ms wall\n",
+                    vanilla.wall_ms);
+        std::printf("cold start patch    %8.3f ms wall  (%.2fx, %llu "
+                    "relocations)\n",
                     patch.wall_ms, coldstart_speedup,
                     static_cast<unsigned long long>(
                         patch.report.relocations_applied));
-        std::printf("simulated loading rebuild %8.3f ms (thread-count "
-                    "independent: %s)\n",
-                    parallel.times.loading * 1e3,
-                    identical ? "yes" : "NO — DETERMINISM BUG");
-        std::printf("simulated loading patch   %8.3f ms (fingerprint + "
-                    "logits identical: %s)\n",
+        std::printf("simulated loading vanilla %8.3f ms\n",
+                    vanilla_probe.times.loading * 1e3);
+        std::printf("simulated loading patch   %8.3f ms (trial "
+                    "independent: %s; logits + modules = vanilla: %s)\n",
                     patch.times.loading * 1e3,
+                    identical ? "yes" : "NO — DETERMINISM BUG",
                     fidelity ? "yes" : "NO — FIDELITY BUG");
         printRule();
-        std::printf("artifact cache miss  %8.3f ms\n", cache_miss_ms);
-        std::printf("artifact cache hit   %8.3f ms\n", cache_hit_ms);
-        std::printf("image cache miss     %8.3f ms\n",
-                    image_cache_miss_ms);
-        std::printf("image cache hit      %8.3f ms\n",
-                    image_cache_hit_ms);
+        std::printf("image cache miss    %8.3f ms\n", image_cache_miss_ms);
+        std::printf("image cache hit     %8.3f ms\n", image_cache_hit_ms);
     }
     reporter.finish();
     return identical && fidelity ? 0 : 1;

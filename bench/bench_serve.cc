@@ -144,7 +144,10 @@ struct Options
     u64 requests = 2000;
     u32 conns = 8;
     u64 seed = 42;
-    /** Virtual seconds per wall second while arrivals replay. */
+    /**
+     * Virtual seconds per wall second while arrivals replay; 0 sends
+     * every request back-to-back and free-runs the server.
+     */
     f64 time_scale = 50;
     std::string metrics_out;
 };
@@ -221,7 +224,9 @@ main(int argc, char **argv)
 
     // Round-robin the trace over opt.conns keep-alive connections;
     // each thread paces its own requests against the shared wall
-    // clock (virtual arrival / time_scale).
+    // clock (virtual arrival / time_scale). time_scale 0 is the
+    // free-run arm: requests go out back-to-back, unpaced, and the
+    // server free-runs virtual time.
     const auto wall0 = std::chrono::steady_clock::now();
     std::atomic<u64> completions{0};
     std::atomic<u64> transport_errors{0};
@@ -237,8 +242,9 @@ main(int argc, char **argv)
             for (std::size_t i = c; i < trace.size();
                  i += opt.conns) {
                 const workload::Request &r = trace[i];
-                const f64 due_wall =
-                    r.arrival_sec / std::max(1e-9, opt.time_scale);
+                const f64 due_wall = opt.time_scale > 0
+                                         ? r.arrival_sec / opt.time_scale
+                                         : 0.0;
                 for (;;) {
                     const f64 wall =
                         std::chrono::duration<f64>(

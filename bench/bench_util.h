@@ -137,17 +137,35 @@ class Reporter
 };
 
 /**
- * Materialize a model's artifact, caching it on disk under ./artifacts
- * so experiment binaries can share offline phases.
- * @param[out] offline_result if non-null and a fresh materialization
- *             ran, receives the full offline result (timings).
+ * Run the validated offline phase for @p model and write both of its
+ * outputs under ./artifacts: the v5 artifact (<model>.medusa, the
+ * analysis product) and the v6 image (<model>.image, what cold starts
+ * restore from), so the two always come from the same offline run.
+ */
+inline StatusOr<core::OfflineResult>
+materializeToCache(const llm::ModelConfig &model)
+{
+    core::OfflineOptions opts;
+    opts.model = model;
+    opts.pipeline.validate = true;
+    opts.pipeline.validate_batch_sizes = {1, 64};
+    MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
+                            core::materialize(opts));
+    MEDUSA_RETURN_IF_ERROR(writeFile("artifacts/" + model.name + ".medusa",
+                                     result.artifact.serialize()));
+    MEDUSA_RETURN_IF_ERROR(writeFile("artifacts/" + model.name + ".image",
+                                     result.image_bytes));
+    return result;
+}
+
+/**
+ * A model's v5 artifact (analysis statistics, lint input), disk-cached
+ * under ./artifacts so experiment binaries can share offline phases.
  */
 inline StatusOr<core::Artifact>
-materializeCached(const llm::ModelConfig &model,
-                  core::OfflineResult *offline_result = nullptr)
+materializeCached(const llm::ModelConfig &model)
 {
-    const std::string path = "artifacts/" + model.name + ".medusa";
-    auto bytes = readFile(path);
+    auto bytes = readFile("artifacts/" + model.name + ".medusa");
     if (bytes.isOk()) {
         auto artifact = core::Artifact::deserialize(std::move(*bytes));
         if (artifact.isOk() && artifact->model_name == model.name &&
@@ -156,33 +174,16 @@ materializeCached(const llm::ModelConfig &model,
         }
         // Stale or corrupt cache: fall through and rebuild.
     }
-    core::OfflineOptions opts;
-    opts.model = model;
-    opts.pipeline.validate = true;
-    opts.pipeline.validate_batch_sizes = {1, 64};
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            core::materialize(opts));
-    if (offline_result != nullptr) {
-        *offline_result = result;
-    }
-    MEDUSA_RETURN_IF_ERROR(
-        writeFile(path, result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile(
-        "artifacts/" + model.name + ".image", result.image_bytes));
+                            materializeToCache(model));
     return std::move(result.artifact);
 }
 
-/**
- * The serialized v6 image for a model, disk-cached under ./artifacts
- * next to the artifact. A stale or corrupt cache re-materializes both
- * files so the artifact and image always come from the same offline
- * run.
- */
+/** The serialized v6 image for a model, disk-cached like the artifact. */
 inline StatusOr<std::vector<u8>>
 materializeImageCached(const llm::ModelConfig &model)
 {
-    const std::string path = "artifacts/" + model.name + ".image";
-    auto bytes = readFile(path);
+    auto bytes = readFile("artifacts/" + model.name + ".image");
     if (bytes.isOk()) {
         auto image = core::MaterializedImage::openView(
             std::span<const u8>(*bytes));
@@ -192,17 +193,18 @@ materializeImageCached(const llm::ModelConfig &model)
         }
         // Stale or corrupt cache: fall through and rebuild.
     }
-    core::OfflineOptions opts;
-    opts.model = model;
-    opts.pipeline.validate = true;
-    opts.pipeline.validate_batch_sizes = {1, 64};
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            core::materialize(opts));
-    MEDUSA_RETURN_IF_ERROR(writeFile(
-        "artifacts/" + model.name + ".medusa",
-        result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile(path, result.image_bytes));
+                            materializeToCache(model));
     return std::move(result.image_bytes);
+}
+
+/** The model's cached v6 image, opened (it owns its bytes). */
+inline StatusOr<core::MaterializedImage>
+openImageCached(const llm::ModelConfig &model)
+{
+    MEDUSA_ASSIGN_OR_RETURN(std::vector<u8> bytes,
+                            materializeImageCached(model));
+    return core::MaterializedImage::open(std::move(bytes));
 }
 
 /** Abort the bench with a message if a status is an error. */

@@ -56,10 +56,21 @@ main(int argc, char **argv)
     oopts.model = *model;
     oopts.pipeline.validate = false;
     auto offline = core::materialize(oopts);
+    if (!offline.isOk()) {
+        std::fprintf(stderr, "offline phase failed: %s\n",
+                     offline.status().toString().c_str());
+        return 1;
+    }
+    auto image = core::MaterializedImage::openView(
+        std::span<const u8>(offline->image_bytes));
+    if (!image.isOk()) {
+        std::fprintf(stderr, "image open failed: %s\n",
+                     image.status().toString().c_str());
+        return 1;
+    }
     core::MedusaEngine::Options mopts;
     mopts.model = *model;
-    auto medusa =
-        core::MedusaEngine::coldStart(mopts, offline->artifact);
+    auto medusa = core::MedusaEngine::coldStartFromImage(mopts, *image);
     if (!vllm.isOk() || !async.isOk() || !medusa.isOk()) {
         std::fprintf(stderr, "cold start failed\n");
         return 1;
@@ -95,14 +106,13 @@ main(int argc, char **argv)
     bar("graph restoration", tm.capture, scale,
         "<- first-layer capture + patch + instantiate");
 
-    std::printf("\nwhat the artifact replaced:\n");
+    std::printf("\nwhat the image replaced:\n");
     std::printf("  - profiling forwarding  -> one stored integer "
                 "(free GPU memory: %s)\n",
-                formatBytes(offline->artifact.free_gpu_memory).c_str());
+                formatBytes(image->free_gpu_memory).c_str());
     std::printf("  - 35 graph captures     -> %llu materialized nodes, "
                 "restored via indirect index pointers\n",
-                static_cast<unsigned long long>(
-                    offline->artifact.totalNodes()));
+                static_cast<unsigned long long>(image->total_nodes));
     std::printf("  - kernel addresses      -> %llu names resolved via "
                 "dlsym, %llu via first-layer triggering-kernels\n",
                 static_cast<unsigned long long>(

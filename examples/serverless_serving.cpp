@@ -42,6 +42,13 @@ main(int argc, char **argv)
                      offline.status().toString().c_str());
         return 1;
     }
+    auto image = core::MaterializedImage::openView(
+        std::span<const u8>(offline->image_bytes));
+    if (!image.isOk()) {
+        std::fprintf(stderr, "image open failed: %s\n",
+                     image.status().toString().c_str());
+        return 1;
+    }
 
     workload::TraceOptions topts;
     topts.requests_per_sec = rps;
@@ -62,7 +69,7 @@ main(int argc, char **argv)
         serverless::ProfileOptions popts;
         popts.model = *model;
         popts.strategy = strategy;
-        popts.artifact = &offline->artifact;
+        popts.image = &*image;
         auto profile = serverless::buildServingProfile(popts);
         if (!profile.isOk()) {
             std::fprintf(stderr, "profile failed: %s\n",

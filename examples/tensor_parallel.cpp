@@ -61,12 +61,12 @@ main(int argc, char **argv)
                 }
             }
         }
-        std::printf("rank %u artifact: %llu nodes across %zu graphs "
+        std::printf("rank %u image: %llu nodes across %zu graphs "
                     "(%llu all-reduce nodes), %zu KiB\n",
                     r, static_cast<unsigned long long>(a.totalNodes()),
                     a.graphs.size(),
                     static_cast<unsigned long long>(collectives),
-                    a.serialize().size() / 1024);
+                    offline->rank_images[r].size() / 1024);
     }
 
     core::TpMedusaEngine::Options mopts;
@@ -75,8 +75,13 @@ main(int argc, char **argv)
     mopts.aslr_seed = 0xdead;
     mopts.restore.pipeline.validate = true;
     mopts.restore.pipeline.validate_batch_sizes = {1, 64};
-    auto engine = core::TpMedusaEngine::coldStart(
-        mopts, offline->rank_artifacts);
+    auto images = offline->openImages();
+    if (!images.isOk()) {
+        std::fprintf(stderr, "rank image open failed: %s\n",
+                     images.status().toString().c_str());
+        return 1;
+    }
+    auto engine = core::TpMedusaEngine::coldStart(mopts, *images);
     if (!engine.isOk()) {
         std::fprintf(stderr, "online restore failed: %s\n",
                      engine.status().toString().c_str());

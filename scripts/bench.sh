@@ -2,10 +2,11 @@
 # Machine-readable bench harness: builds the bench binaries and writes
 # BENCH_*.json files at the repo root.
 #
-#   BENCH_restore.json  — the parallel restore pipeline (parse, cold
-#                         start at 1 vs N threads, artifact cache);
-#                         exits non-zero if simulated results are not
-#                         thread-count independent.
+#   BENCH_restore.json  — the restore pipeline (image open, patch
+#                         cold start vs the vanilla cold start, image
+#                         cache); exits non-zero if simulated results
+#                         drift across trials or the restored logits /
+#                         module table differ from vanilla.
 #   BENCH_micro.json    — google-benchmark microbenchmarks of the
 #                         substrate hot paths.
 #   BENCH_fault.json    — fault matrix: restore fault points × fallback
@@ -31,13 +32,12 @@
 #                         token conservation breaks across the
 #                         HTTP path.
 #
-# Usage: scripts/bench.sh [build-dir] [threads]
-#   build-dir defaults to ./build, threads to the hardware concurrency.
+# Usage: scripts/bench.sh [build-dir]
+#   build-dir defaults to ./build.
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
-THREADS="${2:-0}"
 
 cmake -B "$BUILD" -S "$ROOT" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" \
@@ -47,9 +47,8 @@ cmake --build "$BUILD" -j "$(nproc)" \
 
 cd "$ROOT" # bench binaries cache artifacts under ./artifacts
 
-echo "== bench_restore_parallel (threads=$THREADS; 0 = hardware)"
-"$BUILD/bench/bench_restore_parallel" --json "--threads=$THREADS" \
-    > "$ROOT/BENCH_restore.json"
+echo "== bench_restore_parallel"
+"$BUILD/bench/bench_restore_parallel" --json > "$ROOT/BENCH_restore.json"
 cat "$ROOT/BENCH_restore.json"
 
 echo "== bench_micro"

@@ -95,7 +95,7 @@ else
     fail "bench_micro / trace_check binaries missing"
 fi
 
-note "restore-speed smoke: patch path beats rebuild, patch spans traced"
+note "restore-speed smoke: patch path beats vanilla, patch spans traced"
 if [ -x "$BUILD/bench/bench_restore_parallel" ] &&
    [ -x "$BUILD/tools/trace_check" ]; then
     BUILD_ABS="$(cd "$BUILD" && pwd)"
@@ -106,13 +106,16 @@ if [ -x "$BUILD/bench/bench_restore_parallel" ] &&
             --reps=1 --trace-out "$RESTORE_TRACE") > "$RESTORE_JSON"; then
         fail "bench_restore_parallel reported a determinism/fidelity bug"
     else
+        # coldstart_speedup = vanilla profile+capture cold start wall
+        # over image open + patch restore wall (DESIGN.md §13).
         SPEEDUP=$(sed -n 's/.*"coldstart_speedup": \([0-9.]*\).*/\1/p' \
                       "$RESTORE_JSON")
-        # 1.5 is a smoke floor for sanitized single-rep runs; release
-        # numbers (BENCH_restore.json) must clear 5x (DESIGN.md §13).
+        # Floor from a sanitized single-rep run on a loaded 4-vCPU box:
+        # 274x (vanilla 12,507 ms / patch 45.6 ms), so 20x leaves a
+        # ~13x margin for slower or noisier hosts.
         if [ -z "$SPEEDUP" ] ||
-           ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 1.5) }'; then
-            fail "coldstart_speedup ${SPEEDUP:-missing} below 1.5x floor"
+           ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 20) }'; then
+            fail "coldstart_speedup ${SPEEDUP:-missing} below 20x floor"
         fi
         if ! "$BUILD/tools/trace_check" --chrome "$RESTORE_TRACE" \
                 --expect restore.image_open \
@@ -179,6 +182,17 @@ then
 else
     fail "medusa_serve / trace_check binaries missing"
 fi
+if [ -x "$BUILD/bench/bench_serve" ]; then
+    # --time-scale=0 is the free-run arm: requests go out
+    # back-to-back. The timeout catches a run that paces instead
+    # (bench_serve also exits non-zero on broken conservation).
+    if ! timeout 60 "$BUILD/bench/bench_serve" --time-scale=0 \
+            --requests=50 --conns=2 >/dev/null; then
+        fail "bench_serve free-run (--time-scale=0) failed or hung"
+    fi
+else
+    fail "bench_serve binary missing"
+fi
 
 note "lint-images: verify every materialized v6 image in the build tree"
 if [ -x "$BUILD/tools/medusa_lint" ] && [ -x "$BUILD/tools/trace_check" ]
@@ -237,9 +251,11 @@ elif ! cmake --build "$TSAN_BUILD" -j "$(nproc)" \
 elif ! MEDUSA_FAULT_PLAN='replay_prefix@1000000000;seed=20250805' \
         ctest --test-dir "$TSAN_BUILD" --output-on-failure \
         -j "$(nproc)" \
-        -R 'RestoreParallel|ArtifactCache|Fault|Rollback|Chaos'; then
-    # The Chaos suite's concurrent-runs test drives the crash-requeue
-    # path from two threads sharing a const plan/profile/trace.
+        -R 'RestoreParallel|ImageCache|Fault|Rollback|Chaos'; then
+    # RestoreParallel holds the concurrent cold starts sharing one
+    # image; the Chaos suite's concurrent-runs test drives the
+    # crash-requeue path from two threads sharing a const
+    # plan/profile/trace.
     fail "TSan test run failed"
 fi
 

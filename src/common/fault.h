@@ -50,7 +50,7 @@ enum class FaultPoint : u8 {
     kArtifactDeserialize = 0,
     /** Artifact section / graph CRC verification. */
     kArtifactCrc,
-    /** ArtifactCache loader outcome (a fetch that dies on the node). */
+    /** ImageCache loader outcome (a fetch that dies on the node). */
     kCacheLoader,
     /** Organic allocation-prefix verification after structure init. */
     kReplayPrefix,
@@ -60,7 +60,7 @@ enum class FaultPoint : u8 {
     kKernelDlsym,
     /** Kernel resolution through module enumeration (§5 name table). */
     kKernelEnumeration,
-    /** cudaGraphInstantiate of one rebuilt graph. */
+    /** cudaGraphInstantiate of one restored graph. */
     kGraphInstantiate,
     /** One tensor-parallel rank's restore (the rank dies). */
     kTpRankRestore,
@@ -68,8 +68,6 @@ enum class FaultPoint : u8 {
     kTpLockstep,
     /** Cluster-simulator coarse per-cold-start restore outcome. */
     kClusterRestore,
-    /** One parallel graph build of restoreGraphs phase 2. */
-    kGraphBuild,
     /** v6 image open (structure decode + whole-image CRC). */
     kImageOpen,
     /** One relocation batch of the in-place patch pass (torn patch). */

@@ -4,7 +4,7 @@
  * (DESIGN.md §12): counters, gauges and fixed-bucket histograms keyed
  * by dotted lowercase names ("artifact_cache.hits",
  * "restore.wasted_sec"). The registry unifies the scattered
- * per-subsystem stats structs (`ArtifactCache::Stats`,
+ * per-subsystem stats structs (`ImageCache::Stats`,
  * `serverless::TraceMetrics`, `AnalysisStats`, `RestoreReport`
  * counters), which survive as thin views built from a registry
  * snapshot.

@@ -95,8 +95,8 @@ class ModelRuntime
      * ❸ Medusa patch path: adopt a tokenizer rebuilt from materialized
      * merges instead of re-training over the corpus. Charges exactly
      * the simulated cost of loadTokenizer — the real system still reads
-     * the tokenizer data — so simulated stage times are identical
-     * across the rebuild and patch paths; only host time drops.
+     * the tokenizer data — so the tokenizer stage time matches the
+     * vanilla cold start's; only host time drops.
      */
     Status adoptTokenizer(BpeTokenizer tokenizer);
 
@@ -152,28 +152,14 @@ class ModelRuntime
     Status instantiateGraph(u32 bs, const simcuda::CudaGraph &graph);
 
     /**
-     * Instantiate a batch of rebuilt graphs, strictly in the order
-     * given. Instantiation mutates process state (clock, graph
-     * registry), so parallel restore drivers funnel through this hook
-     * after building the CudaGraphs concurrently — it pins the ordering
-     * contract that keeps simulated time thread-count independent.
+     * Instantiate decode graphs directly from relocation-patched image
+     * arrays, strictly in the order given (the Medusa restore).
      *
      * First failure wins, and the slots this batch already registered
      * are unregistered before returning: a failed batch leaves the
      * graph table exactly as it found it, so a rolled-back restore
      * cannot leak partially-built graphs. @p fault, when set, injects
      * FaultPoint::kGraphInstantiate before each instantiation.
-     */
-    Status instantiateGraphs(
-        const std::vector<std::pair<u32, const simcuda::CudaGraph *>>
-            &ordered,
-        FaultInjector *fault = nullptr);
-
-    /**
-     * Patch-path counterpart of instantiateGraphs: instantiate decode
-     * graphs directly from relocation-patched image arrays, strictly in
-     * the order given, with the same first-failure-wins + unregister
-     * rollback contract and the same kGraphInstantiate fault point.
      */
     Status instantiatePatchedGraphs(
         const std::vector<

@@ -1,8 +1,8 @@
 /**
  * @file
- * Pinned instantiations of MaterializationCache. The template lives in
- * the header (every member is inline there); compiling the two aliases
- * here once keeps the per-TU cost of including artifact_cache.h down
+ * Pinned instantiation of MaterializationCache. The template lives in
+ * the header (every member is inline there); compiling ImageCache here
+ * once keeps the per-TU cost of including artifact_cache.h down
  * and makes template build errors surface in exactly one place.
  */
 
@@ -10,7 +10,6 @@
 
 namespace medusa::core {
 
-template class MaterializationCache<Artifact>;
 template class MaterializationCache<MaterializedImage>;
 
 } // namespace medusa::core

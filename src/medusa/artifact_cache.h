@@ -4,7 +4,7 @@
  *
  * Serverless platforms run many instances of the same <GPU type, model>
  * pair per node, and every Medusa cold start begins by loading that
- * pair's artifact or image (§3). The cache makes the load pay once per
+ * pair's materialized image (§3). The cache makes the load pay once per
  * node: entries are shared immutably (shared_ptr<const T>), a miss is
  * single-flight — concurrent requests for one key run the loader
  * exactly once while the rest block for the result — and capacity is
@@ -21,10 +21,10 @@
  * deadline passes, keyFailure() reports ok() again instead of serving
  * the stale Status to later callers.
  *
- * MaterializationCache<T> is the generic engine; ArtifactCache (v5
- * artifacts) and ImageCache (v6 materialized images) are its two
- * instantiations. Both publish under the `artifact_cache.*` metric
- * names (DESIGN.md §12) so dashboards survived the generalization.
+ * MaterializationCache<T> is the generic engine; ImageCache (v6
+ * materialized images, the online restore format) is its one
+ * instantiation. It publishes under the `artifact_cache.*` metric names
+ * (DESIGN.md §12), which metric consumers already read.
  */
 
 #ifndef MEDUSA_MEDUSA_ARTIFACT_CACHE_H
@@ -43,7 +43,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 
 namespace medusa::core {
@@ -311,14 +310,11 @@ class MaterializationCache
     Status last_failure_ = Status::ok();
 };
 
-/** The v5-artifact instantiation (the original ArtifactCache API). */
-using ArtifactCache = MaterializationCache<Artifact>;
-/** The v6-image instantiation used by the patch restore path. */
+/** The v6-image cache every restore consumer shares. */
 using ImageCache = MaterializationCache<MaterializedImage>;
 
-// The template is fully defined above; artifact_cache.cc pins explicit
-// instantiations so both caches compile once.
-extern template class MaterializationCache<Artifact>;
+// The template is fully defined above; artifact_cache.cc pins the
+// explicit instantiation so the cache compiles once.
 extern template class MaterializationCache<MaterializedImage>;
 
 } // namespace medusa::core

@@ -1,15 +1,16 @@
 /**
  * @file
  * The v6 materialized image: a memory-mappable, relocation-patchable
- * flattening of the v5 artifact (ROADMAP item 4; DESIGN.md §13).
+ * flattening of the v5 artifact, and the only format the online phase
+ * restores from (DESIGN.md §13).
  *
  * The v5 artifact stores graph *blueprints* — per-node kernel names and
- * per-param indirect (alloc_index, offset) pairs — which the online
- * phase turns back into executable graphs by rebuilding a CudaGraph
- * object per blueprint and re-resolving every node's kernel. That
- * rebuild dominates restore wall time. The v6 image moves that work
- * offline, the way a dynamic linker moves symbol binding into a
- * precomputed relocation table:
+ * per-param indirect (alloc_index, offset) pairs. Turning those back
+ * into executable graphs online means rebuilding a CudaGraph object per
+ * blueprint and re-resolving every node's kernel, which would dominate
+ * restore wall time. The v6 image moves that work offline, the way a
+ * dynamic linker moves symbol binding into a precomputed relocation
+ * table:
  *
  *  - graph topology, execution order, timings and param widths are
  *    stored as structure-of-arrays POD sections that the reader *views*
@@ -25,9 +26,9 @@
  * patched arrays (GpuProcess::instantiatePatched) — no CudaGraph
  * reconstruction, no per-node name lookups. The kernel name table is
  * emitted in first-occurrence order (graph order, then node order) so
- * resolving it loads modules in exactly the order the rebuild path
- * would, keeping ASLR draws — and therefore restore fingerprints —
- * bit-identical across the two paths.
+ * resolving it loads modules in exactly the order a vanilla capture
+ * does, keeping ASLR draws — and therefore the restored module table —
+ * identical to the vanilla cold start's.
  *
  * The image also embeds the tokenizer's learned merge list so the
  * online phase can rebuild the tokenizer without re-training over the
@@ -53,8 +54,6 @@
 #include "simcuda/graph.h"
 
 namespace medusa::core {
-
-class Recorder; // record.h; only needed by the emission lint gate
 
 /** Options for opening a serialized image. */
 struct ImageReadOptions
@@ -222,23 +221,8 @@ class MaterializedImage
     std::shared_ptr<const void> mapping_;
 };
 
-/** Options for the offline image emission. */
-struct ImageBuildOptions
-{
-    /**
-     * Post-emission verification gate: decode the freshly emitted bytes
-     * and run the MDL7xx/MDL8xx image rules over them; emission fails
-     * on any error-severity finding. This is the producer-side twin of
-     * the pre-restore gate — a defect is cheapest to reject before the
-     * image is ever shipped.
-     */
-    bool lint = false;
-    /** Raw offline trace, forwarded to the lint gate when set. */
-    const Recorder *trace = nullptr;
-};
-
 /**
- * Flatten a v5/v4 artifact into the serialized v6 image — the offline
+ * Flatten a v5 artifact into the serialized v6 image — the offline
  * emission step, doubling as the v5→v6 migration path. Precomputes
  * each graph's topological order, builds the first-occurrence kernel
  * name table, prefills constant params into the patch template and
@@ -247,8 +231,7 @@ struct ImageBuildOptions
  */
 StatusOr<std::vector<u8>>
 buildImageBytes(const Artifact &artifact,
-                const std::vector<std::pair<i32, i32>> &tokenizer_merges,
-                const ImageBuildOptions &options = {});
+                const std::vector<std::pair<i32, i32>> &tokenizer_merges);
 
 } // namespace medusa::core
 

@@ -45,6 +45,16 @@ struct AllocLife
 std::vector<AllocLife> reconstructLifetimes(std::span<const AllocOp> ops);
 
 /**
+ * MDL101-MDL105: well-formedness of a recorded (de)allocation sequence
+ * and its replay boundary — the same rules for a v5 artifact and a v6
+ * image, which carry the same op sequence. @p subject names the
+ * container in boundary diagnostics ("artifact" / "image").
+ */
+void checkAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
+                        u64 organic_alloc_count, u64 device_memory_bytes,
+                        const char *subject, LintReport &report);
+
+/**
  * The happens-before relation of one captured graph. The capture
  * machinery materializes every stream/event ordering as a dependency
  * edge (program order on a stream chains through the capture frontier;

@@ -18,8 +18,12 @@
  *      replay a capture-time address verbatim — the paper's Figure 6
  *      silent corruption, surfacing at the image layer (MDL705),
  *  (d) the kernel name table is in first-occurrence order, which is
- *      what keeps module-load order — and therefore ASLR draws and
- *      restore fingerprints — identical to the rebuild path (MDL706).
+ *      what keeps module-load order — and therefore ASLR draws and the
+ *      restored module table — identical to a vanilla capture's
+ *      (MDL706).
+ *
+ * The image carries the artifact's op sequence, so the MDL1xx
+ * sequence well-formedness rules run over it as well.
  *
  * The MDL8xx determinism rules run over the image's graphs as well,
  * deriving per-node access sets from the data relocations plus the
@@ -64,8 +68,13 @@ class ImageLinter
     LintReport
     run()
     {
-        lives_ = detail::reconstructLifetimes(
-            std::span<const AllocOp>(img_.ops.data(), img_.ops.size()));
+        const std::span<const AllocOp> ops(img_.ops.data(),
+                                           img_.ops.size());
+        lives_ = detail::reconstructLifetimes(ops);
+        detail::checkAllocSequence(ops, img_.organic_op_count,
+                                   img_.organic_alloc_count,
+                                   opt_.device_memory_bytes, "image",
+                                   report_);
         mapSlots();
         checkKernelRelocs();
         resolveNodeKernels();
@@ -573,7 +582,7 @@ class ImageLinter
         // Walk references in graph order, node order — the order the
         // emitter assigns table entries. Each NEW index must be the
         // next unseen one; anything else changes module-load order at
-        // restore and desynchronizes ASLR draws from the rebuild path.
+        // restore and desynchronizes ASLR draws from a vanilla capture.
         std::set<u64> seen;
         u64 next_new = 0;
         bool order_ok = true;
@@ -599,7 +608,7 @@ class ImageLinter
                              " is still unreferenced; the table is "
                              "not in first-occurrence order, so "
                              "restore would load modules in a "
-                             "different order than the rebuild path "
+                             "different order than a vanilla capture "
                              "and desynchronize ASLR draws",
                          "re-emit the image; the kernel table was "
                          "reordered after emission");

@@ -176,10 +176,19 @@ LintReport lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                            const LintOptions &options = {});
 
 /**
- * Run the image rule families (MDL7xx structural + coverage proof,
- * MDL8xx determinism) over a decoded v6 image. When options.trace is
- * set, MDL803 additionally checks the raw capture trace for
- * allocation-order nondeterminism.
+ * The image form of lintTpArtifacts: lintImage on each rank (locations
+ * prefixed with "rank[i].") plus the same MDL6xx cross-rank rules, with
+ * each node's kernel read from the kernel table through its relocation.
+ * TpMedusaEngine's pre-restore gate.
+ */
+LintReport lintTpImages(const std::vector<MaterializedImage> &rank_images,
+                        const LintOptions &options = {});
+
+/**
+ * Run the image rule families (MDL1xx op-sequence well-formedness,
+ * MDL7xx structural + coverage proof, MDL8xx determinism) over a
+ * decoded v6 image. When options.trace is set, MDL803 additionally
+ * checks the raw capture trace for allocation-order nondeterminism.
  */
 LintReport lintImage(const MaterializedImage &image,
                      const LintOptions &options = {});

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "medusa/analyze.h"
+#include "medusa/image.h"
 #include "medusa/lint/analysis.h"
 #include "medusa/record.h"
 #include "simcuda/kernel.h"
@@ -76,102 +77,13 @@ class ArtifactLinter
              std::move(fix_hint)});
     }
 
-    // ---- MDL1xx: allocation-sequence well-formedness -----------------
-
     void
     checkAllocSequence()
     {
-        std::vector<bool> freed;
-        u64 alloc_count = 0;
-        for (u64 pos = 0; pos < a_.ops.size(); ++pos) {
-            const AllocOp &op = a_.ops[pos];
-            if (op.kind == AllocOp::kAlloc) {
-                ++alloc_count;
-                freed.push_back(false);
-                if (op.logical_size == 0) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "allocation of zero logical bytes (the "
-                         "allocator rejects it; replay would abort)",
-                         "re-run the offline analysis; the recorded "
-                         "sequence is corrupt");
-                } else if (op.logical_size > opt_.device_memory_bytes) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "logical size " +
-                             std::to_string(op.logical_size) +
-                             " exceeds the device capacity " +
-                             std::to_string(opt_.device_memory_bytes),
-                         "check for a size-field overflow or a "
-                         "wrong-device artifact");
-                }
-                if (op.backing_size > op.logical_size) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "backing size " +
-                             std::to_string(op.backing_size) +
-                             " exceeds the logical size " +
-                             std::to_string(op.logical_size),
-                         "backing bytes are a functional subset of the "
-                         "accounted footprint; the op is corrupt");
-                }
-                continue;
-            }
-            // kFree.
-            if (op.freed_alloc_index >= alloc_count) {
-                emit("MDL102", Severity::kError, opLoc(pos),
-                     "free of allocation index " +
-                         std::to_string(op.freed_alloc_index) +
-                         " which does not exist yet (only " +
-                         std::to_string(alloc_count) +
-                         " allocations precede this op)",
-                     "the replay would have no address for this index; "
-                     "re-materialize the artifact");
-                continue;
-            }
-            if (freed[op.freed_alloc_index]) {
-                emit("MDL101", Severity::kError, opLoc(pos),
-                     "double free of allocation index " +
-                         std::to_string(op.freed_alloc_index),
-                     "the replayed allocator would reject the second "
-                     "free; re-materialize the artifact");
-                continue;
-            }
-            freed[op.freed_alloc_index] = true;
-            if (pos >= a_.organic_op_count &&
-                op.freed_alloc_index < a_.organic_alloc_count) {
-                emit("MDL103", Severity::kWarning, opLoc(pos),
-                     "replayed free of organic allocation index " +
-                         std::to_string(op.freed_alloc_index) +
-                         " (created by structure init, which still "
-                         "references it)",
-                     "verify the recorder's organic boundary; the "
-                     "replay frees a buffer the runtime owns");
-            }
-        }
-        if (a_.organic_op_count > a_.ops.size()) {
-            emit("MDL105", Severity::kError, "artifact",
-                 "organic_op_count " +
-                     std::to_string(a_.organic_op_count) +
-                     " exceeds the op sequence length " +
-                     std::to_string(a_.ops.size()),
-                 "the replay boundary is out of range; "
-                 "re-materialize the artifact");
-        } else {
-            u64 organic_allocs = 0;
-            for (u64 pos = 0; pos < a_.organic_op_count; ++pos) {
-                if (a_.ops[pos].kind == AllocOp::kAlloc) {
-                    ++organic_allocs;
-                }
-            }
-            if (organic_allocs != a_.organic_alloc_count) {
-                emit("MDL105", Severity::kError, "artifact",
-                     "organic_alloc_count " +
-                         std::to_string(a_.organic_alloc_count) +
-                         " disagrees with the " +
-                         std::to_string(organic_allocs) +
-                         " alloc ops before the replay boundary",
-                     "the online interceptor would mis-verify the "
-                     "organic prefix; re-materialize the artifact");
-            }
-        }
+        detail::checkAllocSequence(
+            std::span<const AllocOp>(a_.ops.data(), a_.ops.size()),
+            a_.organic_op_count, a_.organic_alloc_count,
+            opt_.device_memory_bytes, "artifact", report_);
     }
 
     // ---- MDL2xx: indirect-index coverage ------------------------------
@@ -608,32 +520,84 @@ class ArtifactLinter
     LintReport report_;
 };
 
-/** The ordered collective-kernel names of one blueprint. */
-std::vector<std::string>
-collectiveOrder(const GraphBlueprint &g, const std::string &module)
+/**
+ * What the cross-rank MDL601-604 rules compare of one rank: identity,
+ * and per graph its batch size, node count, edges and ordered
+ * collective-kernel names. A v5 artifact and a v6 image both reduce to
+ * one, so the rules are written once for both.
+ */
+struct RankSummary
 {
-    std::vector<std::string> order;
-    for (const NodeBlueprint &n : g.nodes) {
-        if (n.module_name == module) {
-            order.push_back(n.kernel_name);
+    struct Graph
+    {
+        u64 node_count = 0;
+        std::vector<std::pair<u32, u32>> edges;
+        std::vector<std::string> collectives;
+    };
+    std::string model_name;
+    u64 model_seed = 0;
+    /** Keyed (and so ordered) by batch size. */
+    std::map<u32, Graph> graphs;
+};
+
+RankSummary
+summarizeRank(const Artifact &a, const std::string &collective_module)
+{
+    RankSummary rank{a.model_name, a.model_seed, {}};
+    for (const GraphBlueprint &g : a.graphs) {
+        RankSummary::Graph &out = rank.graphs[g.batch_size];
+        out.node_count = g.nodes.size();
+        out.edges = g.edges;
+        for (const NodeBlueprint &n : g.nodes) {
+            if (n.module_name == collective_module) {
+                out.collectives.push_back(n.kernel_name);
+            }
         }
     }
-    return order;
+    return rank;
 }
 
-} // namespace
-
-LintReport
-lintArtifact(const Artifact &artifact, const LintOptions &options)
+/**
+ * The image form: a node's kernel is the kernel-table entry its
+ * function slot is relocated from (a slot with no kernel relocation
+ * names no kernel, and MDL705 reports it).
+ */
+RankSummary
+summarizeRank(const MaterializedImage &img,
+              const std::string &collective_module)
 {
-    return ArtifactLinter(artifact, options).run();
+    RankSummary rank{img.model_name, img.model_seed, {}};
+    std::vector<const MaterializedImage::KernelEntry *> slot_kernel(
+        img.patch_template.size(), nullptr);
+    for (const MaterializedImage::KernelReloc &rel : img.kernel_relocs) {
+        if (rel.slot < slot_kernel.size() &&
+            rel.kernel_index < img.kernel_table.size()) {
+            slot_kernel[rel.slot] = &img.kernel_table[rel.kernel_index];
+        }
+    }
+    for (const MaterializedImage::GraphView &g : img.graphs) {
+        RankSummary::Graph &out = rank.graphs[g.batch_size];
+        out.node_count = g.node_count;
+        for (const simcuda::GraphEdge &e : g.edges) {
+            out.edges.emplace_back(e.src, e.dst);
+        }
+        for (u64 slot = g.fn_slot_begin;
+             slot < g.fn_slot_begin + g.node_count &&
+             slot < slot_kernel.size();
+             ++slot) {
+            const MaterializedImage::KernelEntry *k = slot_kernel[slot];
+            if (k != nullptr && k->module == collective_module) {
+                out.collectives.push_back(k->name);
+            }
+        }
+    }
+    return rank;
 }
 
-LintReport
-lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
-                const LintOptions &options)
+/** MDL601-604 over per-rank summaries, rank 0 as the reference. */
+void
+checkCrossRank(const std::vector<RankSummary> &ranks, LintReport &report)
 {
-    LintReport report;
     auto emit = [&report](const char *rule, std::string location,
                           std::string message, std::string hint) {
         report.diagnostics.push_back({rule, Severity::kError,
@@ -641,30 +605,12 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                                       std::move(message),
                                       std::move(hint)});
     };
-
-    // Per-rank single-artifact rules, rank-prefixed. The per-launch
-    // trace (if any) belongs to one rank only, so it is not forwarded.
-    LintOptions rank_options = options;
-    rank_options.trace = nullptr;
-    for (u64 r = 0; r < rank_artifacts.size(); ++r) {
-        LintReport rank = lintArtifact(rank_artifacts[r], rank_options);
-        for (Diagnostic &d : rank.diagnostics) {
-            d.location = "rank[" + std::to_string(r) + "]." + d.location;
-        }
-        report.merge(std::move(rank));
+    if (ranks.size() < 2) {
+        return;
     }
-    if (rank_artifacts.size() < 2) {
-        return report;
-    }
-
-    // ---- MDL6xx: cross-rank consistency, rank 0 as reference ---------
-    const Artifact &ref = rank_artifacts[0];
-    std::map<u32, const GraphBlueprint *> ref_graphs;
-    for (const GraphBlueprint &g : ref.graphs) {
-        ref_graphs[g.batch_size] = &g;
-    }
-    for (u64 r = 1; r < rank_artifacts.size(); ++r) {
-        const Artifact &a = rank_artifacts[r];
+    const RankSummary &ref = ranks[0];
+    for (u64 r = 1; r < ranks.size(); ++r) {
+        const RankSummary &a = ranks[r];
         const std::string rank_loc = "rank[" + std::to_string(r) + "]";
         if (a.model_name != ref.model_name ||
             a.model_seed != ref.model_seed) {
@@ -677,42 +623,35 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                  "capturing-stage run");
             continue;
         }
-        std::map<u32, const GraphBlueprint *> graphs;
-        for (const GraphBlueprint &g : a.graphs) {
-            graphs[g.batch_size] = &g;
-        }
-        if (graphs.size() != ref_graphs.size() ||
-            !std::equal(graphs.begin(), graphs.end(),
-                        ref_graphs.begin(),
+        if (a.graphs.size() != ref.graphs.size() ||
+            !std::equal(a.graphs.begin(), a.graphs.end(),
+                        ref.graphs.begin(),
                         [](const auto &x, const auto &y) {
                             return x.first == y.first;
                         })) {
             emit("MDL602", rank_loc,
                  "captured batch-size set diverges from rank 0 (" +
-                     std::to_string(graphs.size()) + " vs " +
-                     std::to_string(ref_graphs.size()) + " sizes)",
+                     std::to_string(a.graphs.size()) + " vs " +
+                     std::to_string(ref.graphs.size()) + " sizes)",
                  "a decode on a size one rank lacks would deadlock "
                  "the collective; re-capture all ranks together");
             continue;
         }
-        for (const auto &[bs, g] : graphs) {
-            const GraphBlueprint &rg = *ref_graphs.at(bs);
+        for (const auto &[bs, g] : a.graphs) {
+            const RankSummary::Graph &rg = ref.graphs.at(bs);
             const std::string gloc = rank_loc + "." + graphLoc(bs);
-            if (g->nodes.size() != rg.nodes.size() ||
-                g->edges != rg.edges) {
+            if (g.node_count != rg.node_count || g.edges != rg.edges) {
                 emit("MDL603", gloc,
                      "graph topology diverges from rank 0 (" +
-                         std::to_string(g->nodes.size()) + " nodes, " +
-                         std::to_string(g->edges.size()) +
-                         " edges vs " +
-                         std::to_string(rg.nodes.size()) + "/" +
-                         std::to_string(rg.edges.size()) + ")",
+                         std::to_string(g.node_count) + " nodes, " +
+                         std::to_string(g.edges.size()) +
+                         " edges vs " + std::to_string(rg.node_count) +
+                         "/" + std::to_string(rg.edges.size()) + ")",
                      "lockstep replay requires rank-identical "
                      "structure; re-capture all ranks together");
                 continue;
             }
-            if (collectiveOrder(*g, options.collective_module) !=
-                collectiveOrder(rg, options.collective_module)) {
+            if (g.collectives != rg.collectives) {
                 emit("MDL604", gloc,
                      "collective-kernel ordering diverges from rank "
                      "0; lockstep replay would mismatch all-reduce "
@@ -722,7 +661,172 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
             }
         }
     }
+}
+
+/**
+ * The TP rule set over any per-rank form: @p lint_one's single-rank
+ * rules with "rank[i]." location prefixes, then the cross-rank rules.
+ */
+template <typename Rank, typename LintOne>
+LintReport
+lintTpRanks(const std::vector<Rank> &ranks, const LintOptions &options,
+            const LintOne &lint_one)
+{
+    LintReport report;
+    // The per-launch trace (if any) belongs to one rank only, so it is
+    // not forwarded.
+    LintOptions rank_options = options;
+    rank_options.trace = nullptr;
+    std::vector<RankSummary> summaries;
+    for (u64 r = 0; r < ranks.size(); ++r) {
+        LintReport rank = lint_one(ranks[r], rank_options);
+        for (Diagnostic &d : rank.diagnostics) {
+            d.location = "rank[" + std::to_string(r) + "]." + d.location;
+        }
+        report.merge(std::move(rank));
+        summaries.push_back(
+            summarizeRank(ranks[r], options.collective_module));
+    }
+    checkCrossRank(summaries, report);
     return report;
+}
+
+} // namespace
+
+namespace detail {
+
+void
+checkAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
+                   u64 organic_alloc_count, u64 device_memory_bytes,
+                   const char *subject, LintReport &report)
+{
+    auto emit = [&report](const char *rule, Severity severity,
+                          std::string location, std::string message,
+                          std::string fix_hint) {
+        report.diagnostics.push_back(
+            {rule, severity, std::move(location), std::move(message),
+             std::move(fix_hint)});
+    };
+    std::vector<bool> freed;
+    u64 alloc_count = 0;
+    for (u64 pos = 0; pos < ops.size(); ++pos) {
+        const AllocOp &op = ops[pos];
+        if (op.kind == AllocOp::kAlloc) {
+            ++alloc_count;
+            freed.push_back(false);
+            if (op.logical_size == 0) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "allocation of zero logical bytes (the "
+                     "allocator rejects it; replay would abort)",
+                     "re-run the offline analysis; the recorded "
+                     "sequence is corrupt");
+            } else if (op.logical_size > device_memory_bytes) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "logical size " +
+                         std::to_string(op.logical_size) +
+                         " exceeds the device capacity " +
+                         std::to_string(device_memory_bytes),
+                     "check for a size-field overflow or a "
+                     "wrong-device artifact");
+            }
+            if (op.backing_size > op.logical_size) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "backing size " +
+                         std::to_string(op.backing_size) +
+                         " exceeds the logical size " +
+                         std::to_string(op.logical_size),
+                     "backing bytes are a functional subset of the "
+                     "accounted footprint; the op is corrupt");
+            }
+            continue;
+        }
+        // kFree.
+        if (op.freed_alloc_index >= alloc_count) {
+            emit("MDL102", Severity::kError, opLoc(pos),
+                 "free of allocation index " +
+                     std::to_string(op.freed_alloc_index) +
+                     " which does not exist yet (only " +
+                     std::to_string(alloc_count) +
+                     " allocations precede this op)",
+                 "the replay would have no address for this index; "
+                 "re-materialize the artifact");
+            continue;
+        }
+        if (freed[op.freed_alloc_index]) {
+            emit("MDL101", Severity::kError, opLoc(pos),
+                 "double free of allocation index " +
+                     std::to_string(op.freed_alloc_index),
+                 "the replayed allocator would reject the second "
+                 "free; re-materialize the artifact");
+            continue;
+        }
+        freed[op.freed_alloc_index] = true;
+        if (pos >= organic_op_count &&
+            op.freed_alloc_index < organic_alloc_count) {
+            emit("MDL103", Severity::kWarning, opLoc(pos),
+                 "replayed free of organic allocation index " +
+                     std::to_string(op.freed_alloc_index) +
+                     " (created by structure init, which still "
+                     "references it)",
+                 "verify the recorder's organic boundary; the "
+                 "replay frees a buffer the runtime owns");
+        }
+    }
+    if (organic_op_count > ops.size()) {
+        emit("MDL105", Severity::kError, subject,
+             "organic_op_count " +
+                 std::to_string(organic_op_count) +
+                 " exceeds the op sequence length " +
+                 std::to_string(ops.size()),
+             "the replay boundary is out of range; "
+             "re-materialize the artifact");
+    } else {
+        u64 organic_allocs = 0;
+        for (u64 pos = 0; pos < organic_op_count; ++pos) {
+            if (ops[pos].kind == AllocOp::kAlloc) {
+                ++organic_allocs;
+            }
+        }
+        if (organic_allocs != organic_alloc_count) {
+            emit("MDL105", Severity::kError, subject,
+                 "organic_alloc_count " +
+                     std::to_string(organic_alloc_count) +
+                     " disagrees with the " +
+                     std::to_string(organic_allocs) +
+                     " alloc ops before the replay boundary",
+                 "the online interceptor would mis-verify the "
+                 "organic prefix; re-materialize the artifact");
+        }
+    }
+}
+
+} // namespace detail
+
+LintReport
+lintArtifact(const Artifact &artifact, const LintOptions &options)
+{
+    return ArtifactLinter(artifact, options).run();
+}
+
+LintReport
+lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
+                const LintOptions &options)
+{
+    return lintTpRanks(rank_artifacts, options,
+                       [](const Artifact &a, const LintOptions &o) {
+                           return lintArtifact(a, o);
+                       });
+}
+
+LintReport
+lintTpImages(const std::vector<MaterializedImage> &rank_images,
+             const LintOptions &options)
+{
+    return lintTpRanks(rank_images, options,
+                       [](const MaterializedImage &img,
+                          const LintOptions &o) {
+                           return lintImage(img, o);
+                       });
 }
 
 } // namespace medusa::core::lint

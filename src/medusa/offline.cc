@@ -105,6 +105,22 @@ materialize(const OfflineOptions &opts)
     result.analysis_stage_sec = clock.nowSec() - result.capture_stage_sec;
     result.artifact = std::move(analysis.artifact);
 
+    // ---- v6 image emission ----------------------------------------------
+    // Flatten the artifact into the relocation-patchable image,
+    // embedding the merges the capture stage's tokenizer learned — the
+    // online path rebuilds the tokenizer from them instead of
+    // re-training. Emitted before validation so the dry-run restores
+    // the very bytes that ship; every repair re-emits.
+    auto emitImage = [&]() -> Status {
+        Span s(&rec, "offline.emit_image", "offline");
+        MEDUSA_ASSIGN_OR_RETURN(
+            result.image_bytes,
+            buildImageBytes(result.artifact, rt.tokenizer().merges()));
+        s.arg("bytes", std::to_string(result.image_bytes.size()));
+        return Status::ok();
+    };
+    MEDUSA_RETURN_IF_ERROR(emitImage());
+
     // ---- validation dry-run + repair loop -------------------------------
     if (opts.pipeline.validate) {
         MedusaEngine::Options vopts;
@@ -117,7 +133,11 @@ materialize(const OfflineOptions &opts)
 
         std::size_t next_repair = 0;
         for (u32 attempt = 0;; ++attempt) {
-            auto engine = MedusaEngine::coldStart(vopts, result.artifact);
+            MEDUSA_ASSIGN_OR_RETURN(
+                const MaterializedImage image,
+                MaterializedImage::openView(
+                    std::span<const u8>(result.image_bytes)));
+            auto engine = MedusaEngine::coldStartFromImage(vopts, image);
             if (engine.isOk()) {
                 result.validation_sec +=
                     (*engine)->runtime().clock().nowSec();
@@ -153,6 +173,7 @@ materialize(const OfflineOptions &opts)
             spec.constant_bytes =
                 graph->node(ref.node).params.at(ref.param);
             ++result.artifact.stats.validation_repairs;
+            MEDUSA_RETURN_IF_ERROR(emitImage());
         }
         // The dry-run executes on a fresh process with its own clock;
         // charge it as a pre-timed span at the materializer's clock.
@@ -160,10 +181,11 @@ materialize(const OfflineOptions &opts)
                      units::secToNs(result.validation_sec));
     }
 
-    // ---- static lint gate -----------------------------------------------
-    // Unlike the dry-run above this executes nothing: it proves
-    // replay-safety properties of the (possibly repaired) artifact
-    // directly, using the raw trace for exact per-launch liveness.
+    // ---- static lint gates ----------------------------------------------
+    // Unlike the dry-run above these execute nothing: they prove
+    // replay-safety properties of the (possibly repaired) artifact and
+    // of the image emitted from it, using the raw trace for exact
+    // per-launch liveness and the MDL803 capture-window check.
     if (opts.pipeline.lint) {
         lint::LintOptions lopts;
         lopts.trace = &recorder;
@@ -173,27 +195,12 @@ materialize(const OfflineOptions &opts)
             return validationFailure("artifact failed lint: " +
                                      report.firstError());
         }
-    }
-
-    // ---- v6 image emission ----------------------------------------------
-    // Flatten the (repaired, linted) artifact into the
-    // relocation-patchable image, embedding the merges the capture
-    // stage's tokenizer learned — the online patch path rebuilds the
-    // tokenizer from them instead of re-training.
-    {
-        Span s(&rec, "offline.emit_image", "offline");
-        // With pipeline.lint on, emission re-verifies its own output:
-        // the freshly emitted bytes are decoded and run through the
-        // MDL7xx/MDL8xx image rules (with the raw trace for MDL803)
-        // before the image can be cached or shipped.
-        ImageBuildOptions image_options;
-        image_options.lint = opts.pipeline.lint;
-        image_options.trace = &recorder;
-        MEDUSA_ASSIGN_OR_RETURN(
-            result.image_bytes,
-            buildImageBytes(result.artifact, rt.tokenizer().merges(),
-                            image_options));
-        s.arg("bytes", std::to_string(result.image_bytes.size()));
+        const lint::LintReport image_report = lint::lintImageBytes(
+            std::span<const u8>(result.image_bytes), lopts);
+        if (!image_report.replaySafe()) {
+            return validationFailure("emitted image failed lint: " +
+                                     image_report.firstError());
+        }
     }
 
     result.spans = rec.events();

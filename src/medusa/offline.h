@@ -1,13 +1,15 @@
 /**
  * @file
  * The offline phase driver (paper §3 left half): capturing stage +
- * analysis stage, followed by a validation dry-run of the online phase
- * in a fresh simulated process (the paper's §4 output comparison), with
- * an iterative repair loop that demotes false-positive pointer
- * classifications to constants.
+ * analysis stage, then the v6 image emission, followed by a validation
+ * dry-run of the online phase from that image in a fresh simulated
+ * process (the paper's §4 output comparison), with an iterative repair
+ * loop that demotes false-positive pointer classifications to
+ * constants and re-emits the image.
  *
- * Run once per <GPU type, model>; the output Artifact is what every
- * online cold start restores from.
+ * Run once per <GPU type, model>; the output image is what every online
+ * cold start restores from, and the Artifact it was flattened from is
+ * the offline analysis product (lint input, image source).
  */
 
 #ifndef MEDUSA_MEDUSA_OFFLINE_H
@@ -17,6 +19,7 @@
 #include "llm/engine.h"
 #include "medusa/analyze.h"
 #include "medusa/artifact.h"
+#include "medusa/image.h"
 
 namespace medusa::core {
 
@@ -31,10 +34,10 @@ struct OfflineOptions
      * Cross-cutting pipeline knobs (shared shape with RestoreOptions
      * and ClusterOptions). `pipeline.validate` runs the online dry-run
      * validation (and repair) after analysis — on by default here;
-     * `pipeline.lint` runs medusa-lint over the final artifact with
-     * the raw recorder trace, so indirect-index liveness is checked at
-     * each launch's exact trace position, and fails materialization on
-     * any error-severity diagnostic.
+     * `pipeline.lint` runs medusa-lint over the final artifact and
+     * image with the raw recorder trace, so indirect-index liveness is
+     * checked at each launch's exact trace position, and fails
+     * materialization on any error-severity diagnostic.
      */
     PipelineOptions pipeline = {.validate = true};
     /** Bound on validation/repair iterations. */
@@ -67,6 +70,15 @@ struct OfflineResult
     f64 totalOffline() const
     {
         return capture_stage_sec + analysis_stage_sec;
+    }
+
+    /**
+     * Open image_bytes zero-copy (MaterializedImage::openView); this
+     * result must outlive the returned image.
+     */
+    StatusOr<MaterializedImage> openImage() const
+    {
+        return MaterializedImage::openView(std::span<const u8>(image_bytes));
     }
 };
 

@@ -1,24 +1,14 @@
 #include "medusa/replay.h"
 
-#include <atomic>
-#include <cstring>
+#include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 namespace medusa::core {
 
 using llm::ModelRuntime;
 using simcuda::CudaGraph;
-using simcuda::RawParams;
-
-ReplayTable::ReplayTable(const Artifact *artifact)
-    : organic_alloc_count_(artifact->organic_alloc_count)
-{
-    alloc_ops_.reserve(artifact->ops.size());
-    for (const AllocOp &op : artifact->ops) {
-        if (op.kind == AllocOp::kAlloc) {
-            alloc_ops_.push_back(&op);
-        }
-    }
-}
 
 ReplayTable::ReplayTable(std::span<const AllocOp> ops,
                          u64 organic_alloc_count)
@@ -73,16 +63,13 @@ ReplayTable::organicStatus() const
     return Status::ok();
 }
 
-Status
-replayAllocSequence(const Artifact &artifact, ModelRuntime &rt,
-                    const ReplayTable &table, RestoreReport &report,
-                    FaultInjector *fault)
-{
-    return replayAllocSequence(std::span<const AllocOp>(artifact.ops),
-                               artifact.organic_op_count, rt, table,
-                               report, fault);
-}
+namespace {
 
+/**
+ * Replay ops[organic_op_count..] through the runtime's allocator (§4.2).
+ * @p fault, when set, injects FaultPoint::kReplayPrefix at the organic
+ * handoff and kReplayAlloc before each replayed allocation.
+ */
 Status
 replayAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
                     ModelRuntime &rt, const ReplayTable &table,
@@ -114,15 +101,10 @@ replayAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
     return Status::ok();
 }
 
-Status
-rebindEngineBuffers(const Artifact &artifact,
-                    const llm::ModelConfig &m, const ReplayTable &table,
-                    ModelRuntime &rt)
-{
-    return rebindEngineBuffers(artifact.tags, artifact.free_gpu_memory,
-                               m, table, rt);
-}
-
+/**
+ * Re-bind the engine's tagged I/O and KV-cache buffers post-replay,
+ * deriving the KV accounting from the materialized free-memory value.
+ */
 Status
 rebindEngineBuffers(const std::map<std::string, u64> &tags,
                     u64 free_gpu_memory, const llm::ModelConfig &m,
@@ -131,7 +113,7 @@ rebindEngineBuffers(const std::map<std::string, u64> &tags,
     auto tagged = [&](const std::string &tag) -> StatusOr<DeviceAddr> {
         auto it = tags.find(tag);
         if (it == tags.end()) {
-            return validationFailure("artifact missing buffer tag " +
+            return validationFailure("image missing buffer tag " +
                                      tag);
         }
         return table.addrOf(it->second);
@@ -171,36 +153,11 @@ rebindEngineBuffers(const std::map<std::string, u64> &tags,
     return rt.adoptBuffers(bufs, std::move(kv));
 }
 
-Status
-restoreContents(const Artifact &artifact, ModelRuntime &rt,
-                const ReplayTable &table, RestoreReport &report)
-{
-    for (const PermanentBuffer &pb : artifact.permanent) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr addr,
-                                table.addrOf(pb.alloc_index));
-        if (!pb.contents.empty()) {
-            MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-                addr, pb.contents.data(), pb.contents.size(),
-                pb.contents.size()));
-        }
-        report.restored_content_bytes += pb.contents.size();
-    }
-    // §8 extension: rewrite indirect pointer words inside restored
-    // buffers to the replayed addresses of their targets.
-    for (const PointerWordFix &fix : artifact.pointer_fixes) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr buffer,
-                                table.addrOf(fix.buffer_alloc_index));
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr target,
-                                table.addrOf(fix.target_alloc_index));
-        const u64 word = target + fix.target_offset;
-        MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-            buffer + fix.byte_offset, &word, sizeof(word),
-            sizeof(word)));
-        ++report.indirect_pointers_fixed;
-    }
-    return Status::ok();
-}
-
+/**
+ * Run the first-layer triggering-kernels capture and enumerate every
+ * loaded module into a kernel name -> address table (§5). @p fault,
+ * when set, injects FaultPoint::kKernelEnumeration per module.
+ */
 StatusOr<std::unordered_map<std::string, KernelAddr>>
 buildKernelNameTable(ModelRuntime &rt, FaultInjector *fault)
 {
@@ -223,12 +180,10 @@ buildKernelNameTable(ModelRuntime &rt, FaultInjector *fault)
     return name_table;
 }
 
-namespace {
-
 /**
- * Restore one node's kernel address (§5): dlsym where visible, else the
+ * Restore one kernel's address (§5): dlsym where visible, else the
  * enumeration-built name table. Mutates process state (clock, module
- * loads) and the report — callers keep this on the restoring thread.
+ * loads) and the report.
  */
 StatusOr<KernelAddr>
 resolveKernel(const std::string &kernel_name,
@@ -262,169 +217,9 @@ resolveKernel(const std::string &kernel_name,
 }
 
 /**
- * The pure tail of a graph rebuild: dependency lists and parameter
- * patching through the (const) replay table. No clock, no report, no
- * process state — safe to run concurrently for distinct graphs.
+ * Restore permanent-buffer contents and rewrite indirect pointer words
+ * (§4.3 + the §8 extension) from the image's zero-copy views.
  */
-StatusOr<CudaGraph>
-buildGraphFromBlueprint(const GraphBlueprint &bp,
-                        const std::vector<KernelAddr> &fns,
-                        const ReplayTable &table)
-{
-    CudaGraph graph;
-    std::vector<std::vector<simcuda::NodeId>> deps(bp.nodes.size());
-    for (const auto &[src, dst] : bp.edges) {
-        deps[dst].push_back(src);
-    }
-    for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-        const NodeBlueprint &nb = bp.nodes[ni];
-        RawParams params;
-        params.reserve(nb.params.size());
-        for (const ParamSpec &spec : nb.params) {
-            if (spec.kind == ParamSpec::kConstant) {
-                params.push_back(spec.constant_bytes);
-            } else {
-                MEDUSA_ASSIGN_OR_RETURN(
-                    DeviceAddr base, table.addrOf(spec.alloc_index));
-                const u64 value = base + spec.offset;
-                std::vector<u8> bytes(8);
-                std::memcpy(bytes.data(), &value, 8);
-                params.push_back(std::move(bytes));
-            }
-        }
-        graph.addKernelNode(fns[ni], std::move(params), nb.timing,
-                            deps[ni]);
-    }
-    return graph;
-}
-
-Status
-validateEdges(const GraphBlueprint &bp)
-{
-    for (const auto &[src, dst] : bp.edges) {
-        if (dst >= bp.nodes.size() || src >= dst) {
-            return validationFailure("corrupt edge in artifact");
-        }
-    }
-    return Status::ok();
-}
-
-} // namespace
-
-StatusOr<CudaGraph>
-rebuildGraph(const GraphBlueprint &bp, const ReplayTable &table,
-             ModelRuntime &rt,
-             const std::unordered_map<std::string, KernelAddr>
-                 &name_table,
-             const RestoreOptions &options, RestoreReport &report)
-{
-    const CostModel &cost = rt.process().cost();
-    MEDUSA_RETURN_IF_ERROR(validateEdges(bp));
-    std::vector<KernelAddr> fns(bp.nodes.size());
-    for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-        MEDUSA_ASSIGN_OR_RETURN(
-            fns[ni], resolveKernel(bp.nodes[ni].kernel_name,
-                                   bp.nodes[ni].module_name, rt,
-                                   name_table, options, report));
-        ++report.nodes_restored;
-        rt.clock().advance(units::usToNs(cost.restore_per_node_us));
-    }
-    return buildGraphFromBlueprint(bp, fns, table);
-}
-
-Status
-restoreGraphs(const Artifact &artifact, const ReplayTable &table,
-              ModelRuntime &rt,
-              const std::unordered_map<std::string, KernelAddr>
-                  &name_table,
-              const RestoreOptions &options, RestoreReport &report,
-              ThreadPool *pool)
-{
-    const CostModel &cost = rt.process().cost();
-    const std::size_t n = artifact.graphs.size();
-    TraceRecorder *rec = options.pipeline.trace;
-
-    // Phase 1 — serial resolution: every clock charge and counter
-    // mutation stays on this thread, in exact artifact order.
-    Span resolve_span(rec, "restore.graphs.resolve", "restore");
-    std::vector<std::vector<KernelAddr>> fns(n);
-    for (std::size_t g = 0; g < n; ++g) {
-        const GraphBlueprint &bp = artifact.graphs[g];
-        MEDUSA_RETURN_IF_ERROR(validateEdges(bp));
-        fns[g].resize(bp.nodes.size());
-        for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-            MEDUSA_ASSIGN_OR_RETURN(
-                fns[g][ni], resolveKernel(bp.nodes[ni].kernel_name,
-                                          bp.nodes[ni].module_name, rt,
-                                          name_table, options, report));
-            ++report.nodes_restored;
-            rt.clock().advance(
-                units::usToNs(cost.restore_per_node_us));
-        }
-    }
-    resolve_span.end();
-
-    // Phase 2 — parallel pure build into disjoint pre-sized slots.
-    // The build does not advance the simulated clock, so the span
-    // records fan-out shape (graph count), not virtual time.
-    Span build_span(rec, "restore.graphs.build", "restore");
-    build_span.arg("graphs", std::to_string(n));
-    std::vector<CudaGraph> graphs(n);
-    std::vector<Status> statuses(n);
-    // The first failing task flips `cancel`; later tasks finish as
-    // no-ops instead of building graphs destined for the bin. The
-    // parallelFor below joins before anything propagates, so when an
-    // error reaches the caller every worker is quiescent — a rollback
-    // can never race a straggling build task.
-    std::atomic<bool> cancel{false};
-    auto buildOne = [&](std::size_t g) {
-        if (cancel.load(std::memory_order_acquire)) {
-            return; // statuses[g] stays OK: cancelled, not failed
-        }
-        if (options.pipeline.fault != nullptr) {
-            const Status injected = options.pipeline.fault->check(
-                FaultPoint::kGraphBuild, "graph " + std::to_string(g));
-            if (!injected.isOk()) {
-                statuses[g] = injected;
-                cancel.store(true, std::memory_order_release);
-                return;
-            }
-        }
-        auto built = buildGraphFromBlueprint(artifact.graphs[g],
-                                             fns[g], table);
-        if (built.isOk()) {
-            graphs[g] = std::move(built).value();
-        } else {
-            statuses[g] = built.status();
-            cancel.store(true, std::memory_order_release);
-        }
-    };
-    if (pool != nullptr && n > 1) {
-        pool->parallelFor(n, buildOne);
-    } else {
-        for (std::size_t g = 0; g < n; ++g) {
-            buildOne(g);
-        }
-    }
-    // First real failure in artifact order, independent of thread count.
-    for (const Status &s : statuses) {
-        MEDUSA_RETURN_IF_ERROR(s);
-    }
-    build_span.end();
-
-    // Phase 3 — serial instantiation in artifact order.
-    Span inst_span(rec, "restore.graphs.instantiate", "restore");
-    std::vector<std::pair<u32, const CudaGraph *>> ordered;
-    ordered.reserve(n);
-    for (std::size_t g = 0; g < n; ++g) {
-        ordered.emplace_back(artifact.graphs[g].batch_size, &graphs[g]);
-    }
-    MEDUSA_RETURN_IF_ERROR(
-        rt.instantiateGraphs(ordered, options.pipeline.fault));
-    report.graphs_restored += n;
-    return Status::ok();
-}
-
 Status
 restoreImageContents(const MaterializedImage &image, ModelRuntime &rt,
                      const ReplayTable &table, RestoreReport &report)
@@ -453,6 +248,13 @@ restoreImageContents(const MaterializedImage &image, ModelRuntime &rt,
     return Status::ok();
 }
 
+/**
+ * Resolve the image's first-occurrence kernel table to addresses, in
+ * table order — once per UNIQUE kernel, not once per node. The order is
+ * the module-load order of a vanilla capture, so ASLR draws and the
+ * restored module table match the vanilla cold start's. Charges
+ * restore_per_node_us per table entry.
+ */
 StatusOr<std::vector<KernelAddr>>
 resolveImageKernels(const MaterializedImage &image, ModelRuntime &rt,
                     const std::unordered_map<std::string, KernelAddr>
@@ -473,6 +275,14 @@ resolveImageKernels(const MaterializedImage &image, ModelRuntime &rt,
     return addrs;
 }
 
+/**
+ * The patch pass (DESIGN.md §13): copy the image's patch template and
+ * apply every relocation in one linear sweep — data relocations
+ * resolve through the replay table, kernel relocations through
+ * @p kernel_addrs. Charges restore_reloc_us per relocation and injects
+ * FaultPoint::kImagePatch before each relocation batch (the torn-patch
+ * fault).
+ */
 StatusOr<std::vector<u64>>
 applyImageRelocations(const MaterializedImage &image,
                       const ReplayTable &table,
@@ -514,6 +324,11 @@ applyImageRelocations(const MaterializedImage &image,
     return slots;
 }
 
+/**
+ * Instantiate every graph directly from the patched slots: each
+ * graph's PatchedGraphDesc carves spans out of @p patched_slots and the
+ * image's SoA columns — no CudaGraph objects are built.
+ */
 Status
 patchRestoreGraphs(const MaterializedImage &image,
                    const std::vector<u64> &patched_slots,
@@ -556,17 +371,123 @@ patchRestoreGraphs(const MaterializedImage &image,
     return Status::ok();
 }
 
-std::unique_ptr<ThreadPool>
-makeRestorePool(const RestoreOptions &options)
+} // namespace
+
+Status
+initImageStructure(const MaterializedImage &image, ModelRuntime &rt,
+                   const ReplayTable &table)
 {
-    const u32 want = options.restore_threads == 0
-                         ? ThreadPool::hardwareThreads()
-                         : options.restore_threads;
-    if (want <= 1) {
-        return nullptr;
+    MEDUSA_RETURN_IF_ERROR(rt.initStructure());
+    MEDUSA_RETURN_IF_ERROR(table.organicStatus());
+    if (table.allocCount() != image.organic_alloc_count) {
+        return validationFailure(
+            "structure init produced a different allocation count "
+            "than the materialized sequence");
     }
-    // parallelFor participants = workers + the calling thread.
-    return std::make_unique<ThreadPool>(want - 1);
+    return Status::ok();
+}
+
+Status
+restoreImageStages(const MaterializedImage &image,
+                   const llm::ModelConfig &model,
+                   const RestoreOptions &options, ModelRuntime &rt,
+                   const ReplayTable &table, StageTimes &t,
+                   RestoreReport &report)
+{
+    const CostModel &cost = rt.process().cost();
+    FaultInjector *fault = options.pipeline.fault;
+    TraceRecorder *rec = options.pipeline.trace;
+
+    // Stage laps are taken in integer nanoseconds, so each stage time
+    // equals its cold_start.* span's duration exactly.
+    SimClock &clock = rt.clock();
+    SimTimeNs mark = clock.now();
+    auto lap = [&clock, &mark]() {
+        const SimTimeNs now = clock.now();
+        const SimTimeNs d = now - mark;
+        mark = now;
+        return units::nsToSec(d);
+    };
+
+    // 2. Tokenizer: rebuilt from the image's materialized merge list —
+    //    no corpus re-training. Simulated charge matches loadTokenizer.
+    {
+        Span s(rec, "cold_start.tokenizer", "stage");
+        MEDUSA_ASSIGN_OR_RETURN(
+            auto tok, llm::BpeTokenizer::fromMerges(image.tokenizer_merges));
+        MEDUSA_RETURN_IF_ERROR(rt.adoptTokenizer(std::move(tok)));
+    }
+    t.tokenizer = lap();
+
+    Span kv_span(rec, "cold_start.kv_init", "stage");
+    // 3. KV-init restoration: read the image and adopt the materialized
+    //    free-memory value (no profiling forwarding, §6). The image was
+    //    decoded zero-copy, so the read is the whole parse cost.
+    {
+        Span s(rec, "restore.image_open", "restore");
+        clock.advance(
+            units::usToNs(static_cast<f64>(image.serialized_size) /
+                          (cost.artifact_read_gbps * 1e3)));
+    }
+
+    // 4. Replay the recorded (de)allocation sequence (§4.2).
+    {
+        Span s(rec, "restore.replay_alloc_seq", "restore");
+        MEDUSA_RETURN_IF_ERROR(replayAllocSequence(
+            std::span<const AllocOp>(image.ops), image.organic_op_count,
+            rt, table, report, fault));
+    }
+    {
+        Span s(rec, "restore.rebind", "restore");
+        MEDUSA_RETURN_IF_ERROR(rebindEngineBuffers(
+            image.tags, image.free_gpu_memory, model, table, rt));
+    }
+    kv_span.end();
+    t.kv_init = lap();
+
+    // 5. Weights.
+    {
+        Span s(rec, "cold_start.weights", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
+    }
+    t.weights = lap();
+
+    Span cap_span(rec, "cold_start.capture", "stage");
+    // 6. Permanent-buffer contents (§4.3 copy-free restoration) and
+    //    indirect pointer words (§8 extension).
+    if (options.restore_contents) {
+        Span s(rec, "restore.contents", "restore");
+        MEDUSA_RETURN_IF_ERROR(
+            restoreImageContents(image, rt, table, report));
+    }
+
+    // 7. Triggering-kernels: warm up + capture the first layer and build
+    //    the §5 name table, then ONE resolution per unique kernel in
+    //    first-occurrence order.
+    std::unordered_map<std::string, KernelAddr> name_table;
+    if (options.use_triggering_kernels) {
+        Span s(rec, "restore.kernel_table", "restore");
+        MEDUSA_ASSIGN_OR_RETURN(name_table,
+                                buildKernelNameTable(rt, fault));
+    }
+    std::vector<KernelAddr> kernel_addrs;
+    {
+        Span s(rec, "restore.graphs.resolve", "restore");
+        MEDUSA_ASSIGN_OR_RETURN(
+            kernel_addrs,
+            resolveImageKernels(image, rt, name_table, options, report));
+    }
+
+    // 8. The patch pass + direct instantiation from the patched image.
+    MEDUSA_ASSIGN_OR_RETURN(
+        const std::vector<u64> patched,
+        applyImageRelocations(image, table, kernel_addrs, rt, options,
+                              report));
+    MEDUSA_RETURN_IF_ERROR(
+        patchRestoreGraphs(image, patched, rt, options, report));
+    cap_span.end();
+    t.capture = lap();
+    return Status::ok();
 }
 
 } // namespace medusa::core

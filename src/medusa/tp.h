@@ -7,10 +7,11 @@
  * Offline, each rank runs its own recorder through the capturing-stage
  * cold start (per-rank allocation sequences, per-rank graphs with
  * all-reduce collective nodes) and the analysis produces one artifact
- * per rank. Online, every rank replays its own allocation sequence,
- * patches its own graphs and restores kernel addresses in its own
- * process; the restored graphs are validated by lockstep replay against
- * a reference capture.
+ * and one v6 image per rank. Online, every rank restores from its own
+ * image — replays its own allocation sequence, resolves its own kernel
+ * addresses and patches its own graphs in its own process — with the
+ * single-GPU building blocks (replay.h); the restored graphs are
+ * validated by lockstep replay against a reference capture.
  */
 
 #ifndef MEDUSA_MEDUSA_TP_H
@@ -37,9 +38,10 @@ struct TpOfflineOptions
     const CostModel *cost = nullptr;
 };
 
-/** One artifact per rank plus offline-phase timings. */
+/** One artifact and one image per rank plus offline-phase timings. */
 struct TpOfflineResult
 {
+    /** The per-rank analysis products (lint input, image source). */
     std::vector<Artifact> rank_artifacts;
     /**
      * One serialized v6 image per rank (DESIGN.md §13): each rank's
@@ -54,6 +56,12 @@ struct TpOfflineResult
     {
         return capture_stage_sec + analysis_stage_sec;
     }
+
+    /**
+     * Open every rank image zero-copy (MaterializedImage::openView);
+     * this result must outlive the returned images.
+     */
+    StatusOr<std::vector<MaterializedImage>> openImages() const;
 };
 
 /** Run the tensor-parallel offline phase. */
@@ -75,10 +83,19 @@ class TpMedusaEngine
         RestoreOptions restore;
     };
 
-    /** Restore every rank from its artifact. */
+    /**
+     * Restore every rank from its image, stage-interleaved across
+     * ranks, inside one transactional attempt loop: a failure on any
+     * rank rolls every rank back, and retry and the vanilla fallback
+     * act on the whole cluster. With options.restore.pipeline.lint the
+     * images must first pass lintTpImages (per-rank MDL7xx/8xx plus
+     * the MDL6xx cross-rank rules); with pipeline.validate the restored
+     * cluster must match a vanilla-captured reference cluster in
+     * lockstep. The images must outlive the returned engine.
+     */
     static StatusOr<std::unique_ptr<TpMedusaEngine>>
     coldStart(const Options &opts,
-              const std::vector<Artifact> &rank_artifacts);
+              const std::vector<MaterializedImage> &rank_images);
 
     llm::TpCluster &cluster() { return *cluster_; }
 

@@ -84,9 +84,9 @@ buildServingProfile(const ProfileOptions &opts)
     std::unique_ptr<core::MedusaEngine> medusa;
     llm::ModelRuntime *rt = nullptr;
     if (opts.strategy == llm::Strategy::kMedusa) {
-        if (opts.artifact == nullptr) {
+        if (opts.image == nullptr) {
             return invalidArgument(
-                "Medusa profile requires a materialized artifact");
+                "Medusa profile requires a materialized image");
         }
         core::MedusaEngine::Options mopts;
         mopts.model = opts.model;
@@ -94,7 +94,7 @@ buildServingProfile(const ProfileOptions &opts)
         mopts.cost = opts.cost;
         mopts.warm_container = opts.warm_container;
         MEDUSA_ASSIGN_OR_RETURN(
-            medusa, core::MedusaEngine::coldStart(mopts, *opts.artifact));
+            medusa, core::MedusaEngine::coldStartFromImage(mopts, *opts.image));
         profile.loading_sec = medusa->coldStartReport().times.loading;
         profile.cold_start_sec = medusa->coldStartReport().times.coldStart();
         rt = &medusa->runtime();

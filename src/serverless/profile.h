@@ -5,7 +5,7 @@
  *
  * Rather than hand-writing analytic formulas, the profile is *measured*
  * from the functional engine on the virtual clock: one real cold start
- * under the strategy (Medusa restores from a materialized artifact),
+ * under the strategy (Medusa restores from a materialized v6 image),
  * then decode-step and prefill latencies sampled at several batch
  * sizes/token counts and interpolated.
  */
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "llm/engine.h"
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 
 namespace medusa::serverless {
 
@@ -68,7 +68,7 @@ struct ProfileOptions
     llm::Strategy strategy = llm::Strategy::kVllm;
     const CostModel *cost = nullptr;
     /** Required when strategy == kMedusa. */
-    const core::Artifact *artifact = nullptr;
+    const core::MaterializedImage *image = nullptr;
     u64 aslr_seed = 21;
     /** Warm container pool (eliminates runtime init), as in §7.5. */
     bool warm_container = true;

@@ -1,7 +1,7 @@
 /**
  * @file
- * The process-wide artifact cache: single-flight loading, shared
- * immutable entries, LRU eviction and failed-load retry semantics.
+ * The process-wide image cache: single-flight loading, shared immutable
+ * entries, LRU eviction and failed-load retry semantics.
  */
 
 #include <gtest/gtest.h>
@@ -18,25 +18,25 @@
 namespace medusa {
 namespace {
 
-using core::Artifact;
-using core::ArtifactCache;
+using core::ImageCache;
+using core::MaterializedImage;
 
-Artifact
-namedArtifact(const std::string &name)
+MaterializedImage
+namedImage(const std::string &name)
 {
-    Artifact a;
-    a.model_name = name;
-    a.model_seed = 7;
-    return a;
+    MaterializedImage image;
+    image.model_name = name;
+    image.model_seed = 7;
+    return image;
 }
 
-TEST(ArtifactCache, MissLoadsThenHitsShareThePointer)
+TEST(ImageCache, MissLoadsThenHitsShareThePointer)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     int loads = 0;
-    auto loader = [&loads]() -> StatusOr<Artifact> {
+    auto loader = [&loads]() -> StatusOr<MaterializedImage> {
         ++loads;
-        return namedArtifact("m");
+        return namedImage("m");
     };
     bool hit = true;
     auto first = cache.getOrLoad("k", loader, &hit);
@@ -56,20 +56,20 @@ TEST(ArtifactCache, MissLoadsThenHitsShareThePointer)
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(ArtifactCache, SingleFlightRunsTheLoaderOnce)
+TEST(ImageCache, SingleFlightRunsTheLoaderOnce)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     std::atomic<int> loads{0};
-    auto loader = [&loads]() -> StatusOr<Artifact> {
+    auto loader = [&loads]() -> StatusOr<MaterializedImage> {
         ++loads;
         // Hold the load open so every other thread has to wait on it.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return namedArtifact("m");
+        return namedImage("m");
     };
 
     constexpr int kThreads = 8;
     std::vector<std::thread> threads;
-    std::vector<std::shared_ptr<const Artifact>> got(kThreads);
+    std::vector<std::shared_ptr<const MaterializedImage>> got(kThreads);
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&, i]() {
             auto result = cache.getOrLoad("k", loader);
@@ -90,21 +90,21 @@ TEST(ArtifactCache, SingleFlightRunsTheLoaderOnce)
               static_cast<u64>(kThreads - 1));
 }
 
-TEST(ArtifactCache, EvictsLeastRecentlyUsed)
+TEST(ImageCache, EvictsLeastRecentlyUsed)
 {
-    ArtifactCache cache(/*capacity=*/2);
+    ImageCache cache(/*capacity=*/2);
     int b_loads = 0;
     auto loadNamed = [](const std::string &name) {
-        return [name]() -> StatusOr<Artifact> {
-            return namedArtifact(name);
+        return [name]() -> StatusOr<MaterializedImage> {
+            return namedImage(name);
         };
     };
     ASSERT_TRUE(cache.getOrLoad("a", loadNamed("a")).isOk());
     ASSERT_TRUE(cache
                     .getOrLoad("b",
-                               [&b_loads]() -> StatusOr<Artifact> {
+                               [&b_loads]() -> StatusOr<MaterializedImage> {
                                    ++b_loads;
-                                   return namedArtifact("b");
+                                   return namedImage("b");
                                })
                     .isOk());
     // Touch a so b becomes the LRU entry, then overflow with c.
@@ -114,13 +114,13 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsed)
     EXPECT_EQ(cache.metricsSnapshot().counterValue("artifact_cache.evictions"), 1u);
 
     // b was evicted: fetching it again re-runs its loader. An evicted
-    // artifact held elsewhere stays alive via its shared_ptr.
+    // image held elsewhere stays alive via its shared_ptr.
     bool hit = true;
     ASSERT_TRUE(cache
                     .getOrLoad("b",
-                               [&b_loads]() -> StatusOr<Artifact> {
+                               [&b_loads]() -> StatusOr<MaterializedImage> {
                                    ++b_loads;
-                                   return namedArtifact("b");
+                                   return namedImage("b");
                                },
                                &hit)
                     .isOk());
@@ -128,15 +128,15 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsed)
     EXPECT_EQ(b_loads, 2);
 }
 
-TEST(ArtifactCache, FailedLoadPropagatesAndRetries)
+TEST(ImageCache, FailedLoadPropagatesAndRetries)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     int attempts = 0;
-    auto flaky = [&attempts]() -> StatusOr<Artifact> {
+    auto flaky = [&attempts]() -> StatusOr<MaterializedImage> {
         if (++attempts == 1) {
-            return internalError("transient artifact read failure");
+            return internalError("transient image read failure");
         }
-        return namedArtifact("m");
+        return namedImage("m");
     };
     auto first = cache.getOrLoad("k", flaky);
     ASSERT_FALSE(first.isOk());
@@ -149,17 +149,17 @@ TEST(ArtifactCache, FailedLoadPropagatesAndRetries)
     EXPECT_EQ(attempts, 2);
 }
 
-TEST(ArtifactCache, NegativeEntryExpiresAfterBackoff)
+TEST(ImageCache, NegativeEntryExpiresAfterBackoff)
 {
     // A failure record is a negative cache entry with TTL = its
     // backoff deadline. Inside the backoff keyFailure reports the
     // recorded Status; once the deadline passes it must report ok()
     // again — serving the stale Status to later single-flight waiters
     // would claim a failure state that no longer gates anything.
-    ArtifactCache cache(/*capacity=*/8, /*initial_backoff_ms=*/20.0,
+    ImageCache cache(/*capacity=*/8, /*initial_backoff_ms=*/20.0,
                         /*max_backoff_ms=*/20.0);
-    auto failing = []() -> StatusOr<Artifact> {
-        return internalError("persistent artifact read failure");
+    auto failing = []() -> StatusOr<MaterializedImage> {
+        return internalError("persistent image read failure");
     };
     ASSERT_FALSE(cache.getOrLoad("k", failing).isOk());
 
@@ -173,12 +173,11 @@ TEST(ArtifactCache, NegativeEntryExpiresAfterBackoff)
         << "negative entry served after its backoff expired";
 }
 
-TEST(ArtifactCache, ImageCacheSharesTheTemplate)
+TEST(ImageCache, SharesTheTemplate)
 {
-    // The generalized MaterializationCache must serve v6 images with
-    // the same single-flight / stats behavior (and the same
-    // artifact_cache.* metric names, asserted via stats()).
-    core::ImageCache cache;
+    // A real opened image: single-flight / stats behavior under the
+    // artifact_cache.* metric names, and the entry is the opened view.
+    ImageCache cache;
     core::OfflineOptions opts;
     opts.model = llm::findModel("Qwen1.5-0.5B").value();
     opts.model.num_layers = 2;
@@ -207,17 +206,17 @@ TEST(ArtifactCache, ImageCacheSharesTheTemplate)
     EXPECT_EQ(cache.metricsSnapshot().counterValue("artifact_cache.misses"), 1u);
 }
 
-TEST(ArtifactCache, FailedLoadUnblocksWaitersWhoRetry)
+TEST(ImageCache, FailedLoadUnblocksWaitersWhoRetry)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     std::atomic<int> attempts{0};
-    auto flaky = [&attempts]() -> StatusOr<Artifact> {
+    auto flaky = [&attempts]() -> StatusOr<MaterializedImage> {
         const int n = ++attempts;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         if (n == 1) {
             return internalError("first load fails");
         }
-        return namedArtifact("m");
+        return namedImage("m");
     };
     constexpr int kThreads = 4;
     std::atomic<int> ok{0};
@@ -242,13 +241,13 @@ TEST(ArtifactCache, FailedLoadUnblocksWaitersWhoRetry)
     EXPECT_EQ(cache.metricsSnapshot().counterValue("artifact_cache.failed_loads"), 1u);
 }
 
-TEST(ArtifactCache, ClearDropsResidentEntries)
+TEST(ImageCache, ClearDropsResidentEntries)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     ASSERT_TRUE(cache
                     .getOrLoad("k",
-                               []() -> StatusOr<Artifact> {
-                                   return namedArtifact("m");
+                               []() -> StatusOr<MaterializedImage> {
+                                   return namedImage("m");
                                })
                     .isOk());
     EXPECT_EQ(cache.size(), 1u);

@@ -80,7 +80,8 @@ TEST(CheckpointTest, RestoreFasterThanColdStartSlowerThanMedusa)
     ASSERT_TRUE(offline.isOk());
     MedusaEngine::Options mopts;
     mopts.model = m;
-    auto medusa = MedusaEngine::coldStart(mopts, offline->artifact);
+    const auto medusa_image = offline->openImage().value();
+    auto medusa = MedusaEngine::coldStartFromImage(mopts, medusa_image);
     ASSERT_TRUE(medusa.isOk());
 
     // The restore cost scales with the device footprint (which, for a
@@ -97,7 +98,7 @@ TEST(CheckpointTest, RestoreFasterThanColdStartSlowerThanMedusa)
                 0.05);
     // And Medusa's persisted state is orders of magnitude smaller.
     EXPECT_GT(image->totalBytes(),
-              offline->artifact.serialize().size() * 100);
+              offline->image_bytes.size() * 100);
 }
 
 TEST(CheckpointTest, HalfLoadedEngineRejected)

@@ -56,7 +56,7 @@ RunResult
 runEngine(ClusterOptions opts, const ServingProfile &profile,
           const std::vector<workload::Request> &trace, SimEngine engine,
           const FaultPlan *plan = nullptr,
-          core::ArtifactCache *cache = nullptr)
+          core::ImageCache *cache = nullptr)
 {
     TraceRecorder rec;
     MetricsRegistry reg;
@@ -114,18 +114,18 @@ expectEnginesAgree(const ClusterOptions &opts,
                    const FaultPlan *plan = nullptr,
                    bool with_cache = false)
 {
-    // Each run gets a fresh fault stream and artifact cache: both are
+    // Each run gets a fresh fault stream and image cache: both are
     // stateful in hit order, and the engines must consume them
     // identically.
-    std::optional<core::ArtifactCache> legacy_cache;
-    std::optional<core::ArtifactCache> fast_cache;
+    std::optional<core::ImageCache> legacy_cache;
+    std::optional<core::ImageCache> fast_cache;
     ClusterOptions copts = opts;
     if (with_cache) {
         legacy_cache.emplace();
         fast_cache.emplace();
         copts.artifact_key = "toy";
-        copts.artifact_loader = []() -> StatusOr<core::Artifact> {
-            return core::Artifact{};
+        copts.artifact_loader = []() -> StatusOr<core::MaterializedImage> {
+            return core::MaterializedImage{};
         };
         copts.artifact_miss_sec = 0.7;
     }
@@ -224,7 +224,7 @@ TEST(ClusterEquivTest, FaultFailModeBitIdentical)
                        fig10Trace(4.0, 20250406ull), &plan);
 }
 
-TEST(ClusterEquivTest, ArtifactCacheBitIdentical)
+TEST(ClusterEquivTest, ImageCacheBitIdentical)
 {
     ClusterOptions opts;
     opts.idle_timeout_sec = 0.5; // several cold starts share the cache

@@ -498,6 +498,60 @@ TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
     EXPECT_FALSE(hasRule(r, "MDL603"));
 }
 
+/** The MDL6xx rule tags of a report, in order. */
+std::vector<std::string>
+crossRankRules(const LintReport &r)
+{
+    std::vector<std::string> rules;
+    for (const lint::Diagnostic &d : r.diagnostics) {
+        if (d.rule.rfind("MDL6", 0) == 0) {
+            rules.push_back(d.rule);
+        }
+    }
+    return rules;
+}
+
+TEST(LintTest, TpImageRulesMatchArtifactRules)
+{
+    // The cross-rank rules are written once: the image gate
+    // (lintTpImages, each node's kernel read through its relocation)
+    // must reach the artifact linter's MDL6xx verdict on every case.
+    using Mutation = void (*)(std::vector<Artifact> &);
+    const Mutation mutations[] = {
+        [](std::vector<Artifact> &) {},
+        [](std::vector<Artifact> &r) { r[1].model_seed = 99; },
+        [](std::vector<Artifact> &r) {
+            GraphBlueprint extra = r[1].graphs[0];
+            extra.batch_size = 8;
+            r[1].graphs.push_back(std::move(extra));
+        },
+        [](std::vector<Artifact> &r) {
+            r[1].graphs[0].nodes.pop_back();
+            r[1].graphs[0].edges.pop_back();
+        },
+        [](std::vector<Artifact> &r) {
+            std::swap(r[1].graphs[0].nodes[1], r[1].graphs[0].nodes[2]);
+        },
+    };
+    for (std::size_t m = 0; m < std::size(mutations); ++m) {
+        auto ranks = tpArtifacts();
+        mutations[m](ranks);
+        std::vector<MaterializedImage> images;
+        for (const Artifact &a : ranks) {
+            auto bytes = buildImageBytes(a, {});
+            ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
+            images.push_back(
+                MaterializedImage::open(std::move(*bytes)).value());
+        }
+        const auto want =
+            crossRankRules(lint::lintTpArtifacts(ranks, tpOptions()));
+        EXPECT_EQ(crossRankRules(lint::lintTpImages(images, tpOptions())),
+                  want)
+            << "mutation " << m;
+        EXPECT_EQ(want.empty(), m == 0) << "mutation " << m;
+    }
+}
+
 // ---- report rendering --------------------------------------------------
 
 TEST(LintTest, ReportRendersTextAndJson)
@@ -903,14 +957,20 @@ TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)
     eopts.model = opts.model;
     eopts.restore.pipeline.lint = true;
 
-    // Clean artifact: the gate lets the restore proceed.
-    auto ok = MedusaEngine::coldStart(eopts, result->artifact);
+    // Clean image: the gate lets the restore proceed.
+    const MaterializedImage clean = result->openImage().value();
+    auto ok = MedusaEngine::coldStartFromImage(eopts, clean);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
-    // Corrupt the op sequence: the gate refuses before replaying.
+    // Corrupt the op sequence of the artifact the image is flattened
+    // from: the gate refuses before replaying.
     Artifact corrupt = result->artifact;
     corrupt.ops.push_back(freeOp(corrupt.ops.size() + 1000));
-    auto rejected = MedusaEngine::coldStart(eopts, corrupt);
+    auto corrupt_bytes = buildImageBytes(corrupt, clean.tokenizer_merges);
+    ASSERT_TRUE(corrupt_bytes.isOk()) << corrupt_bytes.status().toString();
+    auto corrupt_image = MaterializedImage::open(std::move(*corrupt_bytes));
+    ASSERT_TRUE(corrupt_image.isOk()) << corrupt_image.status().toString();
+    auto rejected = MedusaEngine::coldStartFromImage(eopts, *corrupt_image);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);
     EXPECT_NE(rejected.status().message().find("MDL102"),
@@ -927,20 +987,15 @@ TEST(LintTest, ImageEmissionGateRejectsStalePointer)
     a.ops.push_back(allocOp(512, 512)); // index 3, born after the free
     a.graphs[0].nodes[0].params[1] = indirect(3);
 
-    ImageBuildOptions bopts;
-    bopts.lint = true;
-    auto rejected = buildImageBytes(a, {}, bopts);
-    ASSERT_FALSE(rejected.isOk());
-    EXPECT_NE(rejected.status().message().find("MDL702"),
-              std::string::npos)
-        << rejected.status().toString();
-
-    // Without the gate the bytes emit; the standalone image linter
-    // reaches the same verdict on them.
+    // Emission itself does not judge the bytes; materialize()'s
+    // post-emission gate runs the image linter over them, which must
+    // reject the stale pointer.
     auto bytes = buildImageBytes(a, {});
     ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
-    EXPECT_TRUE(hasRule(lint::lintImageBytes(std::span<const u8>(*bytes)),
-                        "MDL702"));
+    const LintReport report =
+        lint::lintImageBytes(std::span<const u8>(*bytes));
+    EXPECT_FALSE(report.replaySafe());
+    EXPECT_TRUE(hasRule(report, "MDL702"));
 }
 
 TEST(LintTest, PreRestoreImageGateRejectsBeforeFirstPatch)
@@ -1024,12 +1079,25 @@ TEST(LintTest, TpPreRestoreLintGateRejectsDivergentRank)
     eopts.world = 2;
     eopts.restore.pipeline.lint = true;
 
-    auto ok = TpMedusaEngine::coldStart(eopts, offline->rank_artifacts);
+    const auto images = offline->openImages().value();
+    const LintReport clean = lint::lintTpImages(images);
+    EXPECT_TRUE(clean.clean()) << clean.toText();
+    auto ok = TpMedusaEngine::coldStart(eopts, images);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
-    // Drop one batch size from rank 1: MDL602 must veto the restore.
-    auto ranks = offline->rank_artifacts;
-    ranks[1].graphs.pop_back();
+    // Re-emit rank 1's image with one batch size dropped: MDL602 must
+    // veto the restore.
+    Artifact divergent = offline->rank_artifacts[1];
+    divergent.graphs.pop_back();
+    auto divergent_bytes =
+        buildImageBytes(divergent, images[1].tokenizer_merges);
+    ASSERT_TRUE(divergent_bytes.isOk());
+    std::vector<MaterializedImage> ranks;
+    ranks.push_back(MaterializedImage::openView(
+                        std::span<const u8>(offline->rank_images[0]))
+                        .value());
+    ranks.push_back(
+        MaterializedImage::open(std::move(*divergent_bytes)).value());
     auto rejected = TpMedusaEngine::coldStart(eopts, ranks);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);

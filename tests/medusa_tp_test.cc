@@ -74,8 +74,8 @@ TEST(MedusaTpTest, RestoreValidatesAgainstReferenceCluster)
     opts.aslr_seed = 20250707;
     opts.restore.pipeline.validate = true;
     opts.restore.pipeline.validate_batch_sizes = {1, 64};
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = offline.openImages().value();
+    auto engine = TpMedusaEngine::coldStart(opts, images);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     for (u32 r = 0; r < 2; ++r) {
         EXPECT_TRUE((*engine)->rankRestoreReports()[r].validated);
@@ -93,8 +93,8 @@ TEST(MedusaTpTest, RestoredClusterMatchesSingleGpuNumerics)
     TpMedusaEngine::Options opts;
     opts.model = m;
     opts.world = 2;
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = offline.openImages().value();
+    auto engine = TpMedusaEngine::coldStart(opts, images);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     ASSERT_TRUE((*engine)->cluster().stageValidationState(4).isOk());
     auto tp_logits = (*engine)->cluster().lockstepDecodeLogits(4);
@@ -121,15 +121,64 @@ TEST(MedusaTpTest, RestoredClusterMatchesSingleGpuNumerics)
     EXPECT_LT(max_err, 1e-3);
 }
 
+/** FNV-1a over the raw bytes of a logits vector. */
+u64
+logitsDigest(const std::vector<f32> &logits)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    const auto *p = reinterpret_cast<const u8 *>(logits.data());
+    for (std::size_t i = 0; i < logits.size() * sizeof(f32); ++i) {
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(MedusaTpTest, RankImageRestoreMatchesPinnedRebuildState)
+{
+    // Pinned equivalence with the retired graph-rebuild TP restore:
+    // per-rank logical fingerprints (allocator digest folded in) and
+    // the bs=1 / bs=4 lockstep logits digests, recorded from that path
+    // for this offline run and ASLR seed before it was deleted.
+    constexpr u64 kRankFingerprint[] = {0x681cb71cd3ce1f2cull,
+                                        0x72992eafb328761aull};
+    constexpr u64 kLogitsBs1 = 0x208edc7c2e18ce78ull;
+    constexpr u64 kLogitsBs4 = 0x0b902d68080fdffaull;
+
+    const llm::ModelConfig m = tpModel("Qwen1.5-0.5B", 2);
+    auto offline = materialized(m, {1, 4});
+    TpMedusaEngine::Options opts;
+    opts.model = m;
+    opts.world = 2;
+    opts.aslr_seed = 7;
+    const auto images = offline.openImages().value();
+    auto engine = TpMedusaEngine::coldStart(opts, images);
+    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+    llm::TpCluster &cluster = (*engine)->cluster();
+    for (u32 r = 0; r < 2; ++r) {
+        llm::ModelRuntime &rt = cluster.rank(r);
+        EXPECT_EQ(rt.process().logicalStateFingerprint() ^
+                      (rt.allocator().stateFingerprint() * 31),
+                  kRankFingerprint[r])
+            << "rank " << r;
+    }
+    for (const auto &[bs, golden] :
+         {std::pair{1u, kLogitsBs1}, std::pair{4u, kLogitsBs4}}) {
+        ASSERT_TRUE(cluster.stageValidationState(bs).isOk());
+        auto logits = cluster.lockstepDecodeLogits(bs);
+        ASSERT_TRUE(logits.isOk()) << logits.status().toString();
+        EXPECT_EQ(logitsDigest(*logits), golden) << "bs=" << bs;
+    }
+}
+
 TEST(MedusaTpTest, WrongWorldSizeRejected)
 {
     const llm::ModelConfig m = tpModel();
     auto offline = materialized(m, {1});
     TpMedusaEngine::Options opts;
     opts.model = m;
-    opts.world = 4; // but only 2 artifacts
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    opts.world = 4; // but only 2 images
+    const auto images = offline.openImages().value();
+    auto engine = TpMedusaEngine::coldStart(opts, images);
     EXPECT_FALSE(engine.isOk());
 }
 
@@ -143,8 +192,8 @@ TEST(MedusaTpTest, ContentSkipBreaksTpRestoreToo)
     opts.restore.restore_contents = false;
     opts.restore.pipeline.validate = true;
     opts.restore.pipeline.validate_batch_sizes = {1};
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = offline.openImages().value();
+    auto engine = TpMedusaEngine::coldStart(opts, images);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
 }

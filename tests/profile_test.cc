@@ -22,12 +22,12 @@ tinyModel()
 }
 
 ServingProfile
-profileFor(llm::Strategy strategy, const core::Artifact *artifact)
+profileFor(llm::Strategy strategy, const core::MaterializedImage *image)
 {
     ProfileOptions opts;
     opts.model = tinyModel();
     opts.strategy = strategy;
-    opts.artifact = artifact;
+    opts.image = image;
     auto profile = buildServingProfile(opts);
     MEDUSA_CHECK(profile.isOk(),
                  "profile failed: " << profile.status().toString());
@@ -45,27 +45,29 @@ class ProfileBuildTest : public ::testing::Test
         oopts.pipeline.validate = false;
         auto offline = core::materialize(oopts);
         MEDUSA_CHECK(offline.isOk(), "offline failed");
-        artifact_ = new core::Artifact(std::move(offline->artifact));
+        image_ = new core::MaterializedImage(
+            core::MaterializedImage::open(std::move(offline->image_bytes))
+                .value());
     }
 
     static void
     TearDownTestSuite()
     {
-        delete artifact_;
-        artifact_ = nullptr;
+        delete image_;
+        image_ = nullptr;
     }
 
-    static core::Artifact *artifact_;
+    static core::MaterializedImage *image_;
 };
 
-core::Artifact *ProfileBuildTest::artifact_ = nullptr;
+core::MaterializedImage *ProfileBuildTest::image_ = nullptr;
 
 TEST_F(ProfileBuildTest, StrategyLoadingOrder)
 {
     const auto vllm = profileFor(llm::Strategy::kVllm, nullptr);
     const auto nograph = profileFor(llm::Strategy::kNoCudaGraph,
                                     nullptr);
-    const auto medusa = profileFor(llm::Strategy::kMedusa, artifact_);
+    const auto medusa = profileFor(llm::Strategy::kMedusa, image_);
     EXPECT_LT(medusa.loading_sec, vllm.loading_sec);
     EXPECT_LT(nograph.loading_sec, vllm.loading_sec);
 }

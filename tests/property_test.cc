@@ -348,6 +348,7 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
     auto offline = core::materialize(oopts);
     ASSERT_TRUE(offline.isOk());
     const auto bytes = offline->artifact.serialize();
+    const auto merges = offline->openImage().value().tokenizer_merges;
 
     Rng rng(0xfade);
     int parsed = 0, rejected = 0, restore_failed = 0, restored = 0;
@@ -364,11 +365,23 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
             continue;
         }
         ++parsed;
+        // A parsed artifact still has to flatten and open as an image
+        // before anything restores from it.
+        auto image_bytes = core::buildImageBytes(*artifact, merges);
+        if (!image_bytes.isOk()) {
+            ++restore_failed;
+            continue;
+        }
+        auto image = core::MaterializedImage::open(std::move(*image_bytes));
+        if (!image.isOk()) {
+            ++restore_failed;
+            continue;
+        }
         core::MedusaEngine::Options eopts;
         eopts.model = m;
         eopts.restore.pipeline.validate = true;
         eopts.restore.pipeline.validate_batch_sizes = {1};
-        auto engine = core::MedusaEngine::coldStart(eopts, *artifact);
+        auto engine = core::MedusaEngine::coldStartFromImage(eopts, *image);
         if (engine.isOk()) {
             ++restored; // corruption hit a don't-care byte
         } else {

@@ -36,18 +36,19 @@ tinyModel()
     return m;
 }
 
-const core::Artifact &
-tinyArtifact()
+const core::MaterializedImage &
+tinyImage()
 {
-    static const core::Artifact artifact = []() {
+    static const core::MaterializedImage image = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
         auto result = materialize(opts);
         EXPECT_TRUE(result.isOk()) << result.status().toString();
-        return std::move(result->artifact);
+        return core::MaterializedImage::open(std::move(result->image_bytes))
+            .value();
     }();
-    return artifact;
+    return image;
 }
 
 // ---- GpuProcess-level invariants ----------------------------------------
@@ -147,7 +148,7 @@ TEST(RollbackTest, FallbackLogitsIdenticalToNeverRestoredEngine)
     eopts.aslr_seed = kSeed;
     eopts.restore.pipeline.fault = &injector;
     eopts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
-    auto degraded = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto degraded = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
     ASSERT_TRUE((*degraded)->coldStartReport().restore.fallback_vanilla);
 
@@ -310,38 +311,50 @@ TEST(RollbackTest, TornPatchRetryRestoresWithFullFidelity)
 
 TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
 {
+    // Drive the image restore stages by hand on one runtime, with no
+    // engine-level rollback in between, so the runtime's own batch
+    // contract is what is under test.
+    const core::MaterializedImage &image = tinyImage();
+    ASSERT_GE(image.graphs.size(), 2u);
     llm::ModelRuntime::Options opts;
     opts.model = tinyModel();
     opts.aslr_seed = 7;
     llm::ModelRuntime rt(opts);
-    ASSERT_TRUE(rt.initStructure().isOk());
-    ASSERT_TRUE(rt.loadWeights().isOk());
-    ASSERT_TRUE(rt.loadTokenizer().isOk());
-    auto free_bytes = rt.profileFreeMemory();
-    ASSERT_TRUE(free_bytes.isOk());
-    ASSERT_TRUE(rt.initKvCache(*free_bytes).isOk());
-    ASSERT_TRUE(rt.warmupDecode(1).isOk());
-    auto graph = rt.captureDecode(1);
-    ASSERT_TRUE(graph.isOk());
+    auto restore = [&](FaultInjector *fault) {
+        core::ReplayTable table(std::span<const core::AllocOp>(image.ops),
+                                image.organic_alloc_count);
+        rt.allocator().setObserver(&table);
+        core::RestoreOptions ropts;
+        ropts.pipeline.fault = fault;
+        StageTimes t;
+        core::RestoreReport report;
+        Status st = core::initImageStructure(image, rt, table);
+        if (st.isOk()) {
+            st = core::restoreImageStages(image, opts.model, ropts, rt,
+                                          table, t, report);
+        }
+        rt.allocator().setObserver(nullptr);
+        return st;
+    };
 
     // The fault fires on the SECOND instantiation: the first slot is
     // registered, then the batch fails and must unregister it.
     auto plan = FaultPlan::fromSpec("instantiate@2");
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);
-    const std::vector<std::pair<u32, const simcuda::CudaGraph *>>
-        ordered = {{1, &*graph}, {2, &*graph}};
-    const Status st = rt.instantiateGraphs(ordered, &injector);
+    const Status st = restore(&injector);
     ASSERT_FALSE(st.isOk());
     EXPECT_EQ(st.code(), StatusCode::kFaultInjected);
-    EXPECT_FALSE(rt.hasGraph(1));
-    EXPECT_FALSE(rt.hasGraph(2));
+    EXPECT_EQ(injector.hits(FaultPoint::kGraphInstantiate), 2u);
+    for (const core::MaterializedImage::GraphView &g : image.graphs) {
+        EXPECT_FALSE(rt.hasGraph(g.batch_size)) << "bs " << g.batch_size;
+    }
     EXPECT_EQ(rt.graphCount(), 0u);
 
     // The same batch succeeds afterwards: nothing was left behind.
-    ASSERT_TRUE(rt.instantiateGraphs(ordered, nullptr).isOk());
-    EXPECT_TRUE(rt.hasGraph(1));
-    EXPECT_TRUE(rt.hasGraph(2));
+    rt.rollbackToPristine();
+    ASSERT_TRUE(restore(nullptr).isOk());
+    EXPECT_EQ(rt.graphCount(), image.graphs.size());
 }
 
 // ---- tensor-parallel coherence ------------------------------------------
@@ -363,6 +376,15 @@ tpOffline()
     return result;
 }
 
+/** The shared TP offline run's rank images, opened once. */
+const std::vector<core::MaterializedImage> &
+tpImages()
+{
+    static const std::vector<core::MaterializedImage> images =
+        tpOffline().openImages().value();
+    return images;
+}
+
 TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
 {
     auto plan = FaultPlan::fromSpec("tp_rank@2x1");
@@ -380,8 +402,7 @@ TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
     opts.restore.pipeline.fault = &injector;
     opts.restore.fallback.mode = FallbackMode::kRetryThenVanilla;
     opts.restore.fallback.max_attempts = 2;
-    auto engine = core::TpMedusaEngine::coldStart(
-        opts, tpOffline().rank_artifacts);
+    auto engine = core::TpMedusaEngine::coldStart(opts, tpImages());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     // The rank-1 fault rolled BOTH ranks back; the retry restored the
@@ -425,8 +446,7 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     opts.restore.pipeline.validate_batch_sizes = {1};
     opts.restore.pipeline.fault = &injector;
     opts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
-    auto engine = core::TpMedusaEngine::coldStart(
-        opts, tpOffline().rank_artifacts);
+    auto engine = core::TpMedusaEngine::coldStart(opts, tpImages());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     for (u32 r = 0; r < 2; ++r) {
@@ -463,7 +483,7 @@ TEST(RollbackTest, ColdStartReportCarriesSpansAndMergesUserSinks)
     eopts.model = tinyModel();
     eopts.restore.pipeline.trace = &sink;
     eopts.restore.pipeline.metrics = &registry;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const ColdStartReport &cs = (*engine)->coldStartReport();

@@ -50,8 +50,8 @@ TEST_P(ZooSweepTest, OfflineOnlineRoundTripValidates)
     eopts.aslr_seed = 0xabcd;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {4, 128};
-    auto engine = core::MedusaEngine::coldStart(eopts,
-                                                offline->artifact);
+    const auto image = offline->openImage().value();
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
     EXPECT_GT((*engine)->coldStartReport().restore.kernels_via_enumeration, 0u);

@@ -77,10 +77,14 @@ measuredProfile(const std::string &model_name)
     oopts.model = model;
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult offline,
                             core::materialize(oopts));
+    MEDUSA_ASSIGN_OR_RETURN(
+        const core::MaterializedImage image,
+        core::MaterializedImage::openView(
+            std::span<const u8>(offline.image_bytes)));
     serverless::ProfileOptions popts;
     popts.model = model;
     popts.strategy = llm::Strategy::kMedusa;
-    popts.artifact = &offline.artifact;
+    popts.image = &image;
     return serverless::buildServingProfile(popts);
 }
 
