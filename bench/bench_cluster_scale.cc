@@ -2,22 +2,17 @@
  * @file
  * Cluster-scale scheduling study (DESIGN.md §15): replay a seeded
  * million-request synthetic trace (diurnal arrivals, heavy-tail
- * lengths, Zipf multi-model mix) over thousands of serving instances,
- * and report:
- *
- *  1. Engine throughput — events/sec of the zero-allocation fast
- *     engine vs the legacy std::function EventLoop on the same
- *     (truncated) trace prefix. The acceptance bar is >= 25x.
- *  2. Scheduler policies — baseline autoscaler vs keep-alive warm pool
- *     vs artifact-affinity routing, each over the full trace: cold
- *     start P50/P99, cold-start count, GPU-seconds, and the policy
- *     counters (cold-pool hits, keep-alive GPU-seconds, node
- *     warm/fetch/eviction traffic).
+ * lengths, Zipf multi-model mix) over thousands of serving instances
+ * under the baseline autoscaler, the keep-alive warm pool and
+ * artifact-affinity routing. Each policy row reports engine events/s,
+ * cold start P50/P99, cold-start count, GPU-seconds, and the policy
+ * counters (cold-pool hits, keep-alive GPU-seconds, node
+ * warm/fetch/eviction traffic).
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
  * it as BENCH_sim.json; tools/trace_check --sim validates it).
- * --requests / --legacy-requests / --seed resize the study (check.sh
- * runs a truncated smoke).
+ * --requests / --seed resize the study (check.sh runs a truncated
+ * smoke).
  */
 
 #include <chrono>
@@ -54,7 +49,7 @@ scaleProfile()
     return p;
 }
 
-/** The trace both studies draw from; truncation by max_requests. */
+/** The study's trace; truncation by max_requests. */
 workload::SyntheticTraceOptions
 traceOptions(u64 seed, u64 requests, u32 num_models)
 {
@@ -138,7 +133,6 @@ main(int argc, char **argv)
 {
     bool json = false;
     u64 requests = 1000000;
-    u64 legacy_requests = 100000;
     u64 seed = 20250808;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -146,50 +140,17 @@ main(int argc, char **argv)
             json = true;
         } else if (arg.rfind("--requests=", 0) == 0) {
             requests = parseCount(arg, 11);
-        } else if (arg.rfind("--legacy-requests=", 0) == 0) {
-            legacy_requests = parseCount(arg, 18);
         } else if (arg.rfind("--seed=", 0) == 0) {
             seed = parseCount(arg, 7);
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--json] [--requests=N] "
-                         "[--legacy-requests=N] [--seed=N]\n",
+                         "usage: %s [--json] [--requests=N] [--seed=N]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (legacy_requests > requests) {
-        legacy_requests = requests;
-    }
 
     const serverless::ServingProfile profile = scaleProfile();
-
-    // ---- 1. engine throughput: fast vs legacy on the same prefix ----
-    // Single-model trace: the legacy loop predates the multi-model
-    // study. The legacy run replays a truncated prefix (its
-    // O(instances) dispatch scan makes the full trace minutes long);
-    // the fast engine replays the same prefix so events/sec divide
-    // like-for-like.
-    const auto engine_trace = workload::generateSyntheticTrace(
-        traceOptions(seed, legacy_requests, 1));
-    serverless::ClusterOptions eopts = clusterOptions();
-    eopts.engine = serverless::SimEngine::kLegacy;
-    const RunStats legacy = timedRun(eopts, profile, engine_trace);
-    eopts.engine = serverless::SimEngine::kFast;
-    const RunStats fast_prefix = timedRun(eopts, profile, engine_trace);
-    const f64 speedup =
-        fast_prefix.events_per_sec / legacy.events_per_sec;
-    // The equivalence the cluster_equiv_test proves, re-checked here
-    // on the bench's own trace.
-    if (legacy.metrics.completed != fast_prefix.metrics.completed ||
-        legacy.metrics.ttft_sec.samples() !=
-            fast_prefix.metrics.ttft_sec.samples()) {
-        std::fprintf(stderr,
-                     "FAIL: engines disagree on the prefix trace\n");
-        return 1;
-    }
-
-    // ---- 2. policy study over the full multi-model trace ------------
     const u32 kNumModels = 8;
     const auto policy_trace = workload::generateSyntheticTrace(
         traceOptions(seed, requests, kNumModels));
@@ -220,20 +181,7 @@ main(int argc, char **argv)
         std::printf("{\n");
         std::printf("  \"schema_version\": 1,\n");
         std::printf("  \"requests\": %llu,\n", ull(requests));
-        std::printf("  \"legacy_requests\": %llu,\n",
-                    ull(legacy_requests));
-        std::printf("  \"seed\": %llu,\n", ull(seed));
-        std::printf("  \"engine\": {\n");
-        std::printf("    \"legacy\": {\"events\": %llu, "
-                    "\"wall_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                    ull(legacy.metrics.sim_events), legacy.wall_sec,
-                    legacy.events_per_sec);
-        std::printf("    \"fast\": {\"events\": %llu, "
-                    "\"wall_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                    ull(fast_prefix.metrics.sim_events),
-                    fast_prefix.wall_sec, fast_prefix.events_per_sec);
-        std::printf("    \"events_per_sec_speedup\": %.2f\n", speedup);
-        std::printf("  },\n");
+            std::printf("  \"seed\": %llu,\n", ull(seed));
         std::printf("  \"policies\": [\n");
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const PolicyRow &r = rows[i];
@@ -269,17 +217,7 @@ main(int argc, char **argv)
                     "%u GPUs ===\n\n",
                     ull(requests), kNumModels,
                     clusterOptions().num_gpus);
-        std::printf("--- engine throughput (same %llu-request prefix) "
-                    "---\n",
-                    ull(legacy_requests));
-        std::printf("legacy: %9llu events in %7.3f s  (%11.0f ev/s)\n",
-                    ull(legacy.metrics.sim_events), legacy.wall_sec,
-                    legacy.events_per_sec);
-        std::printf("fast:   %9llu events in %7.3f s  (%11.0f ev/s)\n",
-                    ull(fast_prefix.metrics.sim_events),
-                    fast_prefix.wall_sec, fast_prefix.events_per_sec);
-        std::printf("speedup: %.1fx events/sec\n\n", speedup);
-        std::printf("--- scheduler policies (full trace) ---\n");
+        std::printf("--- scheduler policies ---\n");
         std::printf("%-10s %9s %8s %7s %10s %10s %10s %12s %9s\n",
                     "policy", "events", "wall(s)", "peak", "colds",
                     "p50 cold", "p99 cold", "gpu-sec", "p99 ttft");

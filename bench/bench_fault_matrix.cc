@@ -9,10 +9,13 @@
  *     start each (the fault fires on the first hit only), reporting the
  *     outcome and the latency the degraded path paid on top of a clean
  *     restore. The bench fails if a listed point never fires.
- *  2. Trace sweep — the §7.5 ShareGPT-like trace replayed against a
- *     Medusa-profiled cluster with 0%, 1% and 5% of cold-start restores
- *     failing (image corruption on the node), under
- *     retry-then-vanilla: p50/p99 TTFT and the failure accounting.
+ *  2. Trace sweep — the §7.5 ShareGPT-like trace (RPS 2, two hours)
+ *     replayed against a scale-to-zero Medusa-profiled cluster (0.5 s
+ *     idle timeout, a few hundred cold starts) with 0%, 1% and 5% of
+ *     cold-start restores failing (image corruption on the node),
+ *     under retry-then-vanilla: p50/p99 TTFT and the failure
+ *     accounting. The bench fails if the 1% or 5% row records no
+ *     restore failure.
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
  * it as BENCH_fault.json).
@@ -203,9 +206,14 @@ main(int argc, char **argv)
     const serverless::ServingProfile vllm_profile =
         unwrap(serverless::buildServingProfile(popts), "vllm profile");
 
+    // Two hours at RPS 2 under a 0.5 s idle timeout gives the sweep a
+    // few hundred cold starts, so 1% corruption fires several times
+    // (ten minutes at the default 5 s timeout made 6 cold starts, and
+    // no fault fired at 1% or 5%).
+    constexpr f64 kIdleTimeoutSec = 0.5;
     workload::TraceOptions topts;
     topts.requests_per_sec = 2;
-    topts.duration_sec = 600;
+    topts.duration_sec = 7200;
     topts.seed = 20250805;
     const std::vector<workload::Request> trace =
         workload::generateShareGptTrace(topts);
@@ -228,6 +236,7 @@ main(int argc, char **argv)
 
         TraceRecorder run_trace; // sink; cluster events are pre-timed
         serverless::ClusterOptions copts;
+        copts.idle_timeout_sec = kIdleTimeoutSec;
         copts.pipeline.fault = corruption > 0 ? &injector : nullptr;
         copts.pipeline.trace =
             reporter.trace() != nullptr ? &run_trace : nullptr;
@@ -275,16 +284,25 @@ main(int argc, char **argv)
                          trace.size(), corruption);
             return 1;
         }
+        // A corrupted row with no failed restore measured nothing.
+        if (corruption > 0 && metrics.restore_failures == 0) {
+            std::fprintf(stderr,
+                         "FAIL: no restore failed at corruption %.2f "
+                         "(%llu cold starts)\n",
+                         corruption,
+                         static_cast<unsigned long long>(
+                             metrics.cold_starts));
+            return 1;
+        }
     }
 
-    // Traced-only showcase: the probabilistic sweep above sees so few
-    // cold starts that at 1–5% corruption no fault may fire, so a
-    // trace could miss the degraded path entirely. Replay the trace
-    // once more with the first launch's restore deterministically
-    // failing both attempts (retry, then vanilla fallback) so the
-    // exported trace always covers restore.attempt_failed and
-    // fallback.vanilla_cold_start. Runs only under --trace-out; the
-    // printed tables are untouched.
+    // Traced-only showcase: a probabilistic row may retry its way past
+    // every failure, so a trace could miss the vanilla fallback.
+    // Replay the trace once more with the first launch's restore
+    // deterministically failing both attempts (retry, then vanilla
+    // fallback) so the exported trace always covers
+    // restore.attempt_failed and fallback.vanilla_cold_start. Runs
+    // only under --trace-out; the printed tables are untouched.
     if (reporter.trace() != nullptr) {
         FaultPlan plan;
         plan.seed = 4242;
@@ -294,6 +312,7 @@ main(int argc, char **argv)
 
         TraceRecorder run_trace;
         serverless::ClusterOptions copts;
+        copts.idle_timeout_sec = kIdleTimeoutSec;
         copts.pipeline.fault = &injector;
         copts.pipeline.trace = &run_trace;
         copts.pipeline.metrics = reporter.metrics();
@@ -332,6 +351,7 @@ main(int argc, char **argv)
         std::printf("  ],\n");
         std::printf("  \"trace_rps\": %.1f,\n", topts.requests_per_sec);
         std::printf("  \"trace_requests\": %zu,\n", trace.size());
+        std::printf("  \"idle_timeout_sec\": %.2f,\n", kIdleTimeoutSec);
         std::printf("  \"corruption_sweep\": [\n");
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const TraceRow &r = rows[i];
@@ -365,9 +385,11 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(c.retries),
                         c.loading_sec);
         }
-        std::printf("\n--- §7.5 trace (%zu requests, RPS %.0f) under "
-                    "image corruption, retry-then-vanilla ---\n",
-                    trace.size(), topts.requests_per_sec);
+        std::printf("\n--- §7.5 trace (%zu requests, RPS %.0f, idle "
+                    "timeout %.1f s) under image corruption, "
+                    "retry-then-vanilla ---\n",
+                    trace.size(), topts.requests_per_sec,
+                    kIdleTimeoutSec);
         std::printf("%-10s %10s %10s %8s %8s %8s %8s %10s\n",
                     "corruption", "p50 TTFT", "p99 TTFT", "colds",
                     "fails", "retries", "fallbk", "wasted(s)");

@@ -13,12 +13,10 @@
 #                         policies, and §7.5-trace p50/p99 TTFT under
 #                         0/1/5% artifact corruption; exits non-zero if
 #                         any trace request fails to complete.
-#   BENCH_sim.json      — cluster-scale study: fast vs legacy event
-#                         engine throughput on the same trace prefix,
-#                         and the scheduler-policy sweep (baseline /
-#                         keep-alive / artifact-affinity) over a
-#                         million-request synthetic trace; exits
-#                         non-zero if the engines disagree.
+#   BENCH_sim.json      — cluster-scale study: the scheduler-policy
+#                         sweep (baseline / keep-alive /
+#                         artifact-affinity) over a million-request
+#                         synthetic trace, with events/s per policy.
 #   BENCH_chaos.json    — chaos / SLO study: scheduler policies ×
 #                         chaos intensities (node/instance crashes,
 #                         store outages, gray fetches) over a

@@ -1,11 +1,11 @@
 /**
  * @file
- * Scheduler implementation — the former cluster_fast.cc state machine
- * (see scheduler.h and DESIGN.md §15–§17). The arithmetic in
- * launchInstance/startStep is kept expression-for-expression
- * identical to the legacy cluster.cc loop so the two engines produce
- * bit-equal latencies; every hook call is a pure observation added
- * after the corresponding state transition.
+ * Scheduler implementation (see scheduler.h and DESIGN.md §15–§17).
+ * The arithmetic in launchInstance/startStep keeps a fixed expression
+ * order: cluster_equiv_test pins every latency to golden digests bit
+ * for bit, so reassociating a sum is a visible change. Every hook call
+ * is a pure observation added after the corresponding state
+ * transition.
  */
 
 #include <algorithm>
@@ -397,8 +397,8 @@ Scheduler::dispatch()
 {
     const u32 cap = options_.max_seqs_per_instance;
     // Feed live instances, packing onto the most-loaded one that
-    // still has capacity (the legacy bin-packing rule, served by
-    // the load index).
+    // still has capacity, ties to the lowest id (bin-packing, served
+    // by the load index).
     for (u16 m = 0; m < options_.num_models; ++m) {
         while (wait_count_[m] > 0) {
             const u32 best = by_load_[m].bestBelow(cap);
@@ -462,8 +462,8 @@ Scheduler::assignTo(u32 inst, u32 req)
             }
         }
     }
-    // Enqueue for prefill; cancel any pending idle reclaim (the
-    // legacy epoch bump, as a real O(log n) heap removal).
+    // Enqueue for prefill; cancel any pending idle reclaim (an
+    // O(log n) heap removal: a stale reclaim never fires).
     if (inst_prefill_tail_[inst] == kNil) {
         inst_prefill_head_[inst] = req;
     } else {
@@ -606,8 +606,8 @@ Scheduler::launchInstance(u16 m)
     metrics_.counter("cluster.cold_starts").add(1);
     const u32 inst = newInstance(m, node);
     const f64 t0 = engine_.now();
-    // Artifact fetch via the process-wide cache (legacy semantics:
-    // first cold start loads, later ones share for free).
+    // Artifact fetch via the process-wide cache: the first cold
+    // start loads, later ones share for free.
     f64 fetch_sec = 0;
     if (options_.artifact_cache != nullptr && options_.artifact_loader) {
         bool hit = false;
@@ -804,8 +804,7 @@ Scheduler::onStepDone(u32 inst)
     u32 load = load_before;
     if (inst_step_is_prefill_[inst] != 0) {
         // Prefill completion: the batch emits its first tokens;
-        // survivors join the decode set (in batch order, as the
-        // legacy push_back did).
+        // survivors join the back of the decode set in batch order.
         u32 req = inst_batch_head_[inst];
         inst_batch_head_[inst] = kNil;
         while (req != kNil) {
@@ -906,8 +905,7 @@ Scheduler::startStep(u32 inst)
     MEDUSA_CHECK(inst_stepping_[inst] == 0, "instance already stepping");
     if (inst_prefill_count_[inst] > 0) {
         // Prefill step: batch admitted prompts up to the token
-        // budget (they leave the load count while in flight, as
-        // the legacy local batch vector did).
+        // budget (they leave the load count while in flight).
         const u32 load_before = instLoad(inst);
         u32 tokens = 0;
         u32 batched = 0;
