@@ -15,7 +15,6 @@
 #include "bench/bench_util.h"
 #include "llm/runtime.h"
 #include "llm/tokenizer.h"
-#include "medusa/artifact.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
 #include "simcuda/caching_allocator.h"
@@ -103,49 +102,6 @@ BM_TokenizerEncode(benchmark::State &state)
         static_cast<i64>(state.iterations() * text.size()));
 }
 BENCHMARK(BM_TokenizerEncode);
-
-void
-BM_ArtifactSerializeRoundTrip(benchmark::State &state)
-{
-    core::OfflineOptions opts;
-    opts.model = tinyModel();
-    opts.pipeline.validate = false;
-    auto offline = core::materialize(opts);
-    const auto bytes = offline->artifact.serialize();
-    for (auto _ : state) {
-        auto copy = core::Artifact::deserialize(bytes);
-        benchmark::DoNotOptimize(copy);
-    }
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations() * bytes.size()));
-}
-BENCHMARK(BM_ArtifactSerializeRoundTrip);
-
-void
-BM_ArtifactDeserializeView(benchmark::State &state)
-{
-    // The zero-copy path: parse straight out of a borrowed buffer,
-    // optionally skipping the permanent-contents sections the restore
-    // won't touch.
-    core::OfflineOptions opts;
-    opts.model = tinyModel();
-    opts.pipeline.validate = false;
-    auto offline = core::materialize(opts);
-    const auto bytes = offline->artifact.serialize();
-    core::ArtifactReadOptions ropts;
-    ropts.load_permanent_contents = state.range(0) != 0;
-    for (auto _ : state) {
-        auto copy = core::Artifact::deserializeView(
-            std::span<const u8>(bytes), ropts);
-        benchmark::DoNotOptimize(copy);
-    }
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations() * bytes.size()));
-}
-BENCHMARK(BM_ArtifactDeserializeView)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgName("contents");
 
 void
 BM_OfflineMaterialize(benchmark::State &state)

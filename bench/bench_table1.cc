@@ -61,8 +61,9 @@ main()
 
     // ---- §5 / §4.3 statistics from a real offline run ------------------
     auto model = bench::unwrap(llm::findModel("Llama2-13B"), "findModel");
-    auto artifact = bench::unwrap(bench::materializeCached(model),
-                                  "materialize Llama2-13B");
+    const core::OfflineResult offline = bench::unwrap(
+        bench::materializeValidated(model), "materialize Llama2-13B");
+    const core::Artifact &artifact = offline.artifact;
     const core::AnalysisStats &s = artifact.stats;
     const f64 visible =
         100.0 * static_cast<f64>(s.dlsym_visible_nodes) /

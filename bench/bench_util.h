@@ -137,53 +137,28 @@ class Reporter
 };
 
 /**
- * Run the validated offline phase for @p model and write both of its
- * outputs under ./artifacts: the v5 artifact (<model>.medusa, the
- * analysis product) and the v6 image (<model>.image, what cold starts
- * restore from), so the two always come from the same offline run.
+ * The validated offline phase every bench shares: lint, then a dry-run
+ * restore at batch sizes 1 and 64.
  */
 inline StatusOr<core::OfflineResult>
-materializeToCache(const llm::ModelConfig &model)
+materializeValidated(const llm::ModelConfig &model)
 {
     core::OfflineOptions opts;
     opts.model = model;
     opts.pipeline.validate = true;
     opts.pipeline.validate_batch_sizes = {1, 64};
-    MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            core::materialize(opts));
-    MEDUSA_RETURN_IF_ERROR(writeFile("artifacts/" + model.name + ".medusa",
-                                     result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile("artifacts/" + model.name + ".image",
-                                     result.image_bytes));
-    return result;
+    return core::materialize(opts);
 }
 
 /**
- * A model's v5 artifact (analysis statistics, lint input), disk-cached
- * under ./artifacts so experiment binaries can share offline phases.
+ * The serialized v6 image for a model, disk-cached under ./artifacts
+ * (<model>.image) so experiment binaries can share offline phases.
  */
-inline StatusOr<core::Artifact>
-materializeCached(const llm::ModelConfig &model)
-{
-    auto bytes = readFile("artifacts/" + model.name + ".medusa");
-    if (bytes.isOk()) {
-        auto artifact = core::Artifact::deserialize(std::move(*bytes));
-        if (artifact.isOk() && artifact->model_name == model.name &&
-            artifact->model_seed == model.seed) {
-            return artifact;
-        }
-        // Stale or corrupt cache: fall through and rebuild.
-    }
-    MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            materializeToCache(model));
-    return std::move(result.artifact);
-}
-
-/** The serialized v6 image for a model, disk-cached like the artifact. */
 inline StatusOr<std::vector<u8>>
 materializeImageCached(const llm::ModelConfig &model)
 {
-    auto bytes = readFile("artifacts/" + model.name + ".image");
+    const std::string path = "artifacts/" + model.name + ".image";
+    auto bytes = readFile(path);
     if (bytes.isOk()) {
         auto image = core::MaterializedImage::openView(
             std::span<const u8>(*bytes));
@@ -194,7 +169,8 @@ materializeImageCached(const llm::ModelConfig &model)
         // Stale or corrupt cache: fall through and rebuild.
     }
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            materializeToCache(model));
+                            materializeValidated(model));
+    MEDUSA_RETURN_IF_ERROR(writeFile(path, result.image_bytes));
     return std::move(result.image_bytes);
 }
 

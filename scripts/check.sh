@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The repository hygiene gate: formatting, static analysis, sanitizers,
-# static artifact verification and a fault-injected test pass (a fixed
+# static image verification and a fault-injected test pass (a fixed
 # MEDUSA_FAULT_PLAN seed keeps the restore-stack fault hooks live under
 # ASan and TSan). Steps whose tools are not installed are skipped with
 # a notice, so the script is useful on minimal images.
@@ -56,18 +56,18 @@ else
     skip "clang-tidy not installed"
 fi
 
-note "medusa_lint over a freshly materialized artifact"
+note "medusa_lint over a freshly materialized image"
 if [ -x "$BUILD/examples/offline_materialize" ] &&
    [ -x "$BUILD/tools/medusa_lint" ]; then
-    ARTIFACT="$BUILD/check-artifact.medusa"
+    IMAGE="$BUILD/check-image.mdsi"
     if ! "$BUILD/examples/offline_materialize" Qwen1.5-0.5B \
-            "$ARTIFACT" >/dev/null; then
+            "$IMAGE" >/dev/null; then
         fail "offline_materialize failed"
-    elif ! "$BUILD/tools/medusa_lint" --max-severity info "$ARTIFACT"; then
-        # --max-severity info: a pipeline artifact must be clean even
-        # of warnings, not just free of errors.
-        fail "medusa_lint reported diagnostics on a pipeline artifact"
-    elif ! "$BUILD/tools/medusa_lint" --json "$ARTIFACT" \
+    elif ! "$BUILD/tools/medusa_lint" --max-severity info "$IMAGE"; then
+        # --max-severity info: a pipeline image must be clean even of
+        # warnings, not just free of errors.
+        fail "medusa_lint reported diagnostics on a pipeline image"
+    elif ! "$BUILD/tools/medusa_lint" --json "$IMAGE" \
             > "$BUILD/check-lint.json" ||
          ! "$BUILD/tools/trace_check" --lint "$BUILD/check-lint.json"; then
         fail "medusa_lint --json failed schema validation"
@@ -203,14 +203,14 @@ then
         for IMG in $IMAGES; do
             # --max-severity info: a shipped image must be clean even of
             # warnings, with every MDL8xx determinism rule silent.
-            if ! "$BUILD/tools/medusa_lint" --image --max-severity info \
+            if ! "$BUILD/tools/medusa_lint" --max-severity info \
                     "$IMG" >/dev/null; then
-                fail "medusa_lint --image rejected $IMG"
-                "$BUILD/tools/medusa_lint" --image "$IMG" || true
+                fail "medusa_lint rejected $IMG"
+                "$BUILD/tools/medusa_lint" "$IMG" || true
             fi
         done
         FIRST=$(printf '%s\n' "$IMAGES" | head -n 1)
-        if ! "$BUILD/tools/medusa_lint" --image --sarif "$FIRST" \
+        if ! "$BUILD/tools/medusa_lint" --sarif "$FIRST" \
                 > "$BUILD/check-lint.sarif" ||
            ! "$BUILD/tools/trace_check" --sarif "$BUILD/check-lint.sarif"
         then

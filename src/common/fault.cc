@@ -17,8 +17,6 @@ struct PointName
 };
 
 constexpr PointName kPointNames[] = {
-    {FaultPoint::kArtifactDeserialize, "deserialize"},
-    {FaultPoint::kArtifactCrc, "crc"},
     {FaultPoint::kCacheLoader, "cache_loader"},
     {FaultPoint::kReplayPrefix, "replay_prefix"},
     {FaultPoint::kReplayAlloc, "replay_alloc"},
@@ -340,8 +338,22 @@ FaultPlan::fromEnv()
 
 FaultInjector::FaultInjector(const FaultPlan &plan) : plan_(plan)
 {
-    streams_.reserve(kFaultPointCount);
+    seedStreams();
+}
+
+void
+FaultInjector::seedStreams()
+{
+    // The first two draws seeded the retired v5-artifact points
+    // (deserialize, crc). Skipping them keeps every live point's
+    // stream, and so every recorded failure schedule, unchanged.
+    constexpr int kRetiredPointDraws = 2;
     SplitMix64 sm(plan_.seed);
+    for (int i = 0; i < kRetiredPointDraws; ++i) {
+        sm.next();
+    }
+    streams_.clear();
+    streams_.reserve(kFaultPointCount);
     for (std::size_t i = 0; i < kFaultPointCount; ++i) {
         streams_.emplace_back(sm.next());
     }
@@ -413,11 +425,7 @@ FaultInjector::reset()
     std::lock_guard<std::mutex> lock(mu_);
     hits_.fill(0);
     fires_.fill(0);
-    streams_.clear();
-    SplitMix64 sm(plan_.seed);
-    for (std::size_t i = 0; i < kFaultPointCount; ++i) {
-        streams_.emplace_back(sm.next());
-    }
+    seedStreams();
 }
 
 FaultInjector *

@@ -1,12 +1,13 @@
 /**
  * @file
  * The v6 materialized image: a memory-mappable, relocation-patchable
- * flattening of the v5 artifact, and the only format the online phase
- * restores from (DESIGN.md §13).
+ * flattening of the in-memory Artifact, and the only materialized
+ * format the offline phase writes and the online phase restores from
+ * (DESIGN.md §13).
  *
- * The v5 artifact stores graph *blueprints* — per-node kernel names and
- * per-param indirect (alloc_index, offset) pairs. Turning those back
- * into executable graphs online means rebuilding a CudaGraph object per
+ * The Artifact holds graph *blueprints* — per-node kernel names and
+ * per-param indirect (alloc_index, offset) pairs. Turning those into
+ * executable graphs online would mean rebuilding a CudaGraph object per
  * blueprint and re-resolving every node's kernel, which would dominate
  * restore wall time. The v6 image moves that work offline, the way a
  * dynamic linker moves symbol binding into a precomputed relocation
@@ -55,11 +56,12 @@
 
 namespace medusa::core {
 
-/** Options for opening a serialized image. */
+/**
+ * Options for opening a serialized image. The whole-image CRC32 (over
+ * everything after the header) is always verified.
+ */
 struct ImageReadOptions
 {
-    /** Verify the whole-image CRC32 (covers everything after header). */
-    bool verify_crc = true;
     /**
      * Reject out-of-bounds relocation records at open time (the patch
      * pass indexes them unchecked). medusa-lint opens with this off so
@@ -184,7 +186,7 @@ class MaterializedImage
      * Open an image over caller-owned bytes (zero-copy; the caller
      * keeps @p bytes alive and 8-byte aligned for the image's
      * lifetime). Injects FaultPoint::kImageOpen when options.fault is
-     * set; verifies the whole-image CRC unless disabled.
+     * set; verifies the whole-image CRC.
      */
     static StatusOr<MaterializedImage>
     openView(std::span<const u8> bytes, const ImageReadOptions &options = {});
@@ -222,8 +224,8 @@ class MaterializedImage
 };
 
 /**
- * Flatten a v5 artifact into the serialized v6 image — the offline
- * emission step, doubling as the v5→v6 migration path. Precomputes
+ * Flatten an artifact into the serialized v6 image — the offline
+ * emission step, a pure function of its inputs. Precomputes
  * each graph's topological order, builds the first-occurrence kernel
  * name table, prefills constant params into the patch template and
  * emits the relocation table. @p tokenizer_merges is the learned merge

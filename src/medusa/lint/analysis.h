@@ -46,7 +46,7 @@ std::vector<AllocLife> reconstructLifetimes(std::span<const AllocOp> ops);
 
 /**
  * MDL101-MDL105: well-formedness of a recorded (de)allocation sequence
- * and its replay boundary — the same rules for a v5 artifact and a v6
+ * and its replay boundary — the same rules for an artifact and a v6
  * image, which carry the same op sequence. @p subject names the
  * container in boundary diagnostics ("artifact" / "image").
  */

@@ -169,17 +169,9 @@ LintReport lintArtifact(const Artifact &artifact,
 
 /**
  * Run the cross-rank tensor-parallel rules (MDL6xx) over per-rank
- * artifacts, PLUS the single-artifact rules on each rank (locations
- * prefixed with "rank[i].").
- */
-LintReport lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
-                           const LintOptions &options = {});
-
-/**
- * The image form of lintTpArtifacts: lintImage on each rank (locations
- * prefixed with "rank[i].") plus the same MDL6xx cross-rank rules, with
- * each node's kernel read from the kernel table through its relocation.
- * TpMedusaEngine's pre-restore gate.
+ * images, PLUS lintImage on each rank (locations prefixed with
+ * "rank[i]."). Each node's kernel is read from the kernel table
+ * through its relocation. TpMedusaEngine's pre-restore gate.
  */
 LintReport lintTpImages(const std::vector<MaterializedImage> &rank_images,
                         const LintOptions &options = {});

@@ -523,8 +523,7 @@ class ArtifactLinter
 /**
  * What the cross-rank MDL601-604 rules compare of one rank: identity,
  * and per graph its batch size, node count, edges and ordered
- * collective-kernel names. A v5 artifact and a v6 image both reduce to
- * one, so the rules are written once for both.
+ * collective-kernel names, read out of the rank's v6 image.
  */
 struct RankSummary
 {
@@ -540,27 +539,10 @@ struct RankSummary
     std::map<u32, Graph> graphs;
 };
 
-RankSummary
-summarizeRank(const Artifact &a, const std::string &collective_module)
-{
-    RankSummary rank{a.model_name, a.model_seed, {}};
-    for (const GraphBlueprint &g : a.graphs) {
-        RankSummary::Graph &out = rank.graphs[g.batch_size];
-        out.node_count = g.nodes.size();
-        out.edges = g.edges;
-        for (const NodeBlueprint &n : g.nodes) {
-            if (n.module_name == collective_module) {
-                out.collectives.push_back(n.kernel_name);
-            }
-        }
-    }
-    return rank;
-}
-
 /**
- * The image form: a node's kernel is the kernel-table entry its
- * function slot is relocated from (a slot with no kernel relocation
- * names no kernel, and MDL705 reports it).
+ * A node's kernel is the kernel-table entry its function slot is
+ * relocated from (a slot with no kernel relocation names no kernel,
+ * and MDL705 reports it).
  */
 RankSummary
 summarizeRank(const MaterializedImage &img,
@@ -661,34 +643,6 @@ checkCrossRank(const std::vector<RankSummary> &ranks, LintReport &report)
             }
         }
     }
-}
-
-/**
- * The TP rule set over any per-rank form: @p lint_one's single-rank
- * rules with "rank[i]." location prefixes, then the cross-rank rules.
- */
-template <typename Rank, typename LintOne>
-LintReport
-lintTpRanks(const std::vector<Rank> &ranks, const LintOptions &options,
-            const LintOne &lint_one)
-{
-    LintReport report;
-    // The per-launch trace (if any) belongs to one rank only, so it is
-    // not forwarded.
-    LintOptions rank_options = options;
-    rank_options.trace = nullptr;
-    std::vector<RankSummary> summaries;
-    for (u64 r = 0; r < ranks.size(); ++r) {
-        LintReport rank = lint_one(ranks[r], rank_options);
-        for (Diagnostic &d : rank.diagnostics) {
-            d.location = "rank[" + std::to_string(r) + "]." + d.location;
-        }
-        report.merge(std::move(rank));
-        summaries.push_back(
-            summarizeRank(ranks[r], options.collective_module));
-    }
-    checkCrossRank(summaries, report);
-    return report;
 }
 
 } // namespace
@@ -809,24 +763,26 @@ lintArtifact(const Artifact &artifact, const LintOptions &options)
 }
 
 LintReport
-lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
-                const LintOptions &options)
-{
-    return lintTpRanks(rank_artifacts, options,
-                       [](const Artifact &a, const LintOptions &o) {
-                           return lintArtifact(a, o);
-                       });
-}
-
-LintReport
 lintTpImages(const std::vector<MaterializedImage> &rank_images,
              const LintOptions &options)
 {
-    return lintTpRanks(rank_images, options,
-                       [](const MaterializedImage &img,
-                          const LintOptions &o) {
-                           return lintImage(img, o);
-                       });
+    LintReport report;
+    // The per-launch trace (if any) belongs to one rank only, so it is
+    // not forwarded.
+    LintOptions rank_options = options;
+    rank_options.trace = nullptr;
+    std::vector<RankSummary> summaries;
+    for (u64 r = 0; r < rank_images.size(); ++r) {
+        LintReport rank = lintImage(rank_images[r], rank_options);
+        for (Diagnostic &d : rank.diagnostics) {
+            d.location = "rank[" + std::to_string(r) + "]." + d.location;
+        }
+        report.merge(std::move(rank));
+        summaries.push_back(
+            summarizeRank(rank_images[r], options.collective_module));
+    }
+    checkCrossRank(summaries, report);
+    return report;
 }
 
 } // namespace medusa::core::lint

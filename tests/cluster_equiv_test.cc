@@ -349,6 +349,42 @@ TEST(ClusterEquivTest, FaultRetryThenVanillaBitIdentical)
                  kGolden);
 }
 
+/**
+ * The same kRetryThenVanilla settings over a sparse trace with a short
+ * idle timeout, so instances are reclaimed between requests and every
+ * arrival relaunches: the restore fault fires, is retried, and twice
+ * exhausts its attempts into a vanilla cold start. The case above makes
+ * only four cold starts and pins no fault at all.
+ */
+TEST(ClusterEquivTest, FaultRetryThenVanillaChurnBitIdentical)
+{
+    FaultPlan plan;
+    plan.seed = 99;
+    plan.rule(FaultPoint::kClusterRestore).probability = 0.4;
+    ClusterOptions opts;
+    opts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
+    opts.fallback.max_attempts = 3;
+    opts.fallback.backoff_sec = 0.05;
+    opts.vanilla_cold_start_sec = 4.0;
+    opts.idle_timeout_sec = 0.5;
+    constexpr Digest kGolden{
+        .ttft = 0x0acba8371bb8e3dcull, .e2e = 0x8f7af3ae2358a785ull,
+        .launch = 0xd79093a4c7c3fd13ull, .completed = 50, .cold_starts = 16,
+        .achieved_qps = 0x1.5eb4b01eb73bep-4,
+        .makespan_sec = 0x1.23fb8c9ed4f9cp+9,
+        .gpu_seconds = 0x1.a8a90e5f6447ap+7, .restore_failures = 12,
+        .fallback_cold_starts = 2, .retries = 10,
+        .wasted_restore_sec = 0x1.80116f0320624p+3, .instances_launched = 16,
+        .peak_live_instances = 1, .metrics_json = 0xe1742b1d1af1c145ull,
+        .chrome_json = 0x8bdc5cfd109a7b4eull};
+    const RunResult r = replay(opts, toyProfile(2.0),
+                               fig10Trace(0.1, 20250405ull, 600), &plan);
+    EXPECT_GT(r.metrics.restore_failures, 0u);
+    EXPECT_GT(r.metrics.retries, 0u);
+    EXPECT_GT(r.metrics.fallback_cold_starts, 0u);
+    expectDigest(r, kGolden);
+}
+
 TEST(ClusterEquivTest, FaultFailModeBitIdentical)
 {
     FaultPlan plan;

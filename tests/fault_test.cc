@@ -66,14 +66,14 @@ TEST(FaultPlanTest, PointNamesRoundTrip)
 
 TEST(FaultPlanTest, ParsesSpecForms)
 {
-    auto plan = FaultPlan::fromSpec("dlsym@2x1;crc=0.25,seed=9");
+    auto plan = FaultPlan::fromSpec("dlsym@2x1;replay_alloc=0.25,seed=9");
     ASSERT_TRUE(plan.isOk()) << plan.status().toString();
     EXPECT_EQ(plan->seed, 9u);
     const FaultRule &dlsym = plan->rule(FaultPoint::kKernelDlsym);
     EXPECT_EQ(dlsym.fire_on_hit, 2u);
     EXPECT_EQ(dlsym.max_fires, 1u);
-    const FaultRule &crc = plan->rule(FaultPoint::kArtifactCrc);
-    EXPECT_DOUBLE_EQ(crc.probability, 0.25);
+    const FaultRule &alloc = plan->rule(FaultPoint::kReplayAlloc);
+    EXPECT_DOUBLE_EQ(alloc.probability, 0.25);
     EXPECT_TRUE(plan->enabled());
 
     // A bare point name always fires.
@@ -83,26 +83,26 @@ TEST(FaultPlanTest, ParsesSpecForms)
         bare->rule(FaultPoint::kGraphInstantiate).probability, 1.0);
 
     EXPECT_FALSE(FaultPlan::fromSpec("bogus_point@1").isOk());
-    EXPECT_FALSE(FaultPlan::fromSpec("crc=notanumber").isOk());
+    EXPECT_FALSE(FaultPlan::fromSpec("replay_alloc=notanumber").isOk());
 }
 
 TEST(FaultPlanTest, DuplicatePointIsAnError)
 {
     // A second rule for the same point used to silently overwrite the
     // first; it must be rejected and name the offender.
-    auto dup = FaultPlan::fromSpec("dlsym@2;crc=0.1;dlsym=0.5");
+    auto dup = FaultPlan::fromSpec("dlsym@2;replay_alloc=0.1;dlsym=0.5");
     ASSERT_FALSE(dup.isOk());
     EXPECT_NE(dup.status().message().find("duplicate"),
               std::string::npos);
     EXPECT_NE(dup.status().message().find("dlsym"), std::string::npos);
 
     auto json_dup = FaultPlan::fromJson(
-        "{\"seed\":1,\"rules\":[{\"point\":\"crc\",\"probability\":0.1},"
-        "{\"point\":\"crc\",\"fire_on_hit\":2}]}");
+        "{\"seed\":1,\"rules\":[{\"point\":\"replay_alloc\",\"probability\":0.1},"
+        "{\"point\":\"replay_alloc\",\"fire_on_hit\":2}]}");
     ASSERT_FALSE(json_dup.isOk());
     EXPECT_NE(json_dup.status().message().find("duplicate"),
               std::string::npos);
-    EXPECT_NE(json_dup.status().message().find("crc"),
+    EXPECT_NE(json_dup.status().message().find("replay_alloc"),
               std::string::npos);
 }
 
@@ -121,17 +121,19 @@ TEST(FaultPlanTest, UnknownPointErrorListsValidNames)
 
 TEST(FaultPlanTest, RemovedGraphBuildPointIsUnknown)
 {
-    // The graph-rebuild restore path and its per-graph build fault
-    // point are gone; a plan naming it must fail loudly rather than
-    // arm nothing.
-    auto plan = FaultPlan::fromSpec("graph_build@3");
-    ASSERT_FALSE(plan.isOk());
-    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(plan.status().message().find("unknown fault point "
-                                           "\"graph_build\""),
-              std::string::npos)
-        << plan.status().message();
-    EXPECT_FALSE(faultPointFromName("graph_build").isOk());
+    // Retired points must fail loudly rather than arm nothing: the
+    // graph-rebuild restore path's per-graph build point, and the v5
+    // artifact codec's deserialize and CRC points.
+    for (const std::string name : {"graph_build", "deserialize", "crc"}) {
+        auto plan = FaultPlan::fromSpec(name + "@3");
+        ASSERT_FALSE(plan.isOk()) << name;
+        EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(plan.status().message().find("unknown fault point \"" +
+                                               name + "\""),
+                  std::string::npos)
+            << plan.status().message();
+        EXPECT_FALSE(faultPointFromName(name).isOk()) << name;
+    }
 }
 
 TEST(FaultPlanTest, SpecRendersBack)
@@ -180,43 +182,43 @@ TEST(FaultInjectorTest, FiresOnExactHitOrdinal)
 
 TEST(FaultInjectorTest, SameSeedSameSchedule)
 {
-    auto plan = FaultPlan::fromSpec("crc=0.3;seed=1234");
+    auto plan = FaultPlan::fromSpec("replay_alloc=0.3;seed=1234");
     ASSERT_TRUE(plan.isOk());
     FaultInjector a(*plan);
     FaultInjector b(*plan);
     for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(a.check(FaultPoint::kArtifactCrc).isOk(),
-                  b.check(FaultPoint::kArtifactCrc).isOk())
+        EXPECT_EQ(a.check(FaultPoint::kReplayAlloc).isOk(),
+                  b.check(FaultPoint::kReplayAlloc).isOk())
             << "hit " << i;
     }
-    EXPECT_EQ(a.fires(FaultPoint::kArtifactCrc),
-              b.fires(FaultPoint::kArtifactCrc));
-    EXPECT_GT(a.fires(FaultPoint::kArtifactCrc), 0u);
-    EXPECT_LT(a.fires(FaultPoint::kArtifactCrc), 200u);
+    EXPECT_EQ(a.fires(FaultPoint::kReplayAlloc),
+              b.fires(FaultPoint::kReplayAlloc));
+    EXPECT_GT(a.fires(FaultPoint::kReplayAlloc), 0u);
+    EXPECT_LT(a.fires(FaultPoint::kReplayAlloc), 200u);
 
     // reset() rewinds to the identical schedule.
-    const u64 before = a.fires(FaultPoint::kArtifactCrc);
+    const u64 before = a.fires(FaultPoint::kReplayAlloc);
     a.reset();
     for (int i = 0; i < 200; ++i) {
-        a.check(FaultPoint::kArtifactCrc);
+        a.check(FaultPoint::kReplayAlloc);
     }
-    EXPECT_EQ(a.fires(FaultPoint::kArtifactCrc), before);
+    EXPECT_EQ(a.fires(FaultPoint::kReplayAlloc), before);
 }
 
 TEST(FaultInjectorTest, StreamsAreIndependentAcrossPoints)
 {
-    auto plan = FaultPlan::fromSpec("crc=0.3;dlsym=0.3;seed=42");
+    auto plan = FaultPlan::fromSpec("replay_alloc=0.3;dlsym=0.3;seed=42");
     ASSERT_TRUE(plan.isOk());
-    // Interleaving hits at another point must not change crc's schedule.
+    // Interleaving hits at another point must not change replay_alloc's schedule.
     FaultInjector pure(*plan);
     FaultInjector mixed(*plan);
     std::vector<bool> pure_fires, mixed_fires;
     for (int i = 0; i < 100; ++i) {
         pure_fires.push_back(
-            !pure.check(FaultPoint::kArtifactCrc).isOk());
+            !pure.check(FaultPoint::kReplayAlloc).isOk());
         mixed.check(FaultPoint::kKernelDlsym);
         mixed_fires.push_back(
-            !mixed.check(FaultPoint::kArtifactCrc).isOk());
+            !mixed.check(FaultPoint::kReplayAlloc).isOk());
     }
     EXPECT_EQ(pure_fires, mixed_fires);
 }

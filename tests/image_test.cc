@@ -3,9 +3,8 @@
  * The v6 materialized image (DESIGN.md §13): round-trip from an
  * artifact, zero-copy open, relocation-patch restore determinism and
  * fidelity (pinned values recorded from the retired graph-rebuild
- * path, plus a live vanilla cold start), v5→v6 migration
- * byte-identity, and rejection of truncated, bit-flipped and
- * misaligned buffers.
+ * path, plus a live vanilla cold start), byte-identical re-emission,
+ * and rejection of truncated, bit-flipped and misaligned buffers.
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +100,12 @@ TEST(ImageTest, RoundTripMatchesArtifact)
         EXPECT_EQ(g.param_begin.size(), g.node_count + 1u);
     }
     EXPECT_EQ(image->patch_template.size(), slots);
+
+    // Emission is a pure function of the artifact and the merge list:
+    // flattening the artifact again gives the offline phase's bytes.
+    auto again = core::buildImageBytes(f.artifact, image->tokenizer_merges);
+    ASSERT_TRUE(again.isOk()) << again.status().toString();
+    EXPECT_EQ(*again, f.image_bytes);
 }
 
 TEST(ImageTest, OwningOpenEqualsView)
@@ -272,27 +277,6 @@ TEST(ImageTest, PatchRestoreFingerprintAndLogitsMatchRebuildPath)
     auto vanilla_bs1 = vrt.graphDecodeLogits(1);
     ASSERT_TRUE(vanilla_bs1.isOk());
     EXPECT_EQ(*vanilla_bs1, bs1); // bit-identical
-}
-
-// ---- v5 -> v6 migration -------------------------------------------------
-
-TEST(ImageTest, MigrationFromSerializedV5IsByteIdentical)
-{
-    const Fixture &f = shared();
-    auto image =
-        MaterializedImage::openView(std::span<const u8>(f.image_bytes));
-    ASSERT_TRUE(image.isOk());
-
-    // v5 round trip, then flatten the deserialized artifact: the image
-    // must come out byte-identical to the one the offline phase
-    // emitted from the in-memory artifact.
-    const std::vector<u8> v5 = f.artifact.serialize();
-    auto artifact = Artifact::deserialize(v5);
-    ASSERT_TRUE(artifact.isOk()) << artifact.status().toString();
-    auto migrated =
-        core::buildImageBytes(*artifact, image->tokenizer_merges);
-    ASSERT_TRUE(migrated.isOk()) << migrated.status().toString();
-    EXPECT_EQ(*migrated, f.image_bytes);
 }
 
 // ---- corruption rejection -----------------------------------------------

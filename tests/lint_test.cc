@@ -453,49 +453,20 @@ tpOptions()
     return o;
 }
 
-TEST(LintTest, ConsistentRanksLintClean)
+/**
+ * lintTpImages over @p ranks flattened with buildImageBytes: the TP
+ * gate reads each node's kernel through its relocation.
+ */
+LintReport
+lintTp(const std::vector<Artifact> &ranks)
 {
-    const LintReport r = lint::lintTpArtifacts(tpArtifacts(),
-                                               tpOptions());
-    EXPECT_TRUE(r.clean()) << r.toText();
-}
-
-TEST(LintTest, RankIdentityMismatchFiresMdl601)
-{
-    auto ranks = tpArtifacts();
-    ranks[1].model_seed = 99;
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL601"));
-}
-
-TEST(LintTest, BatchSetMismatchFiresMdl602)
-{
-    auto ranks = tpArtifacts();
-    GraphBlueprint extra = ranks[1].graphs[0];
-    extra.batch_size = 8;
-    ranks[1].graphs.push_back(std::move(extra));
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL602"));
-}
-
-TEST(LintTest, TopologyMismatchFiresMdl603)
-{
-    auto ranks = tpArtifacts();
-    ranks[1].graphs[0].nodes.pop_back();
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL603"));
-}
-
-TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
-{
-    auto ranks = tpArtifacts();
-    // Same node count and edges, but the collectives run in a
-    // different order on rank 1 — lockstep replay would deadlock.
-    std::swap(ranks[1].graphs[0].nodes[1],
-              ranks[1].graphs[0].nodes[2]);
-    const LintReport r = lint::lintTpArtifacts(ranks, tpOptions());
-    EXPECT_TRUE(hasRule(r, "MDL604")) << r.toText();
-    EXPECT_FALSE(hasRule(r, "MDL603"));
+    std::vector<MaterializedImage> images;
+    for (const Artifact &a : ranks) {
+        images.push_back(
+            MaterializedImage::open(buildImageBytes(a, {}).value())
+                .value());
+    }
+    return lint::lintTpImages(images, tpOptions());
 }
 
 /** The MDL6xx rule tags of a report, in order. */
@@ -511,45 +482,52 @@ crossRankRules(const LintReport &r)
     return rules;
 }
 
-TEST(LintTest, TpImageRulesMatchArtifactRules)
+using Rules = std::vector<std::string>;
+
+TEST(LintTest, ConsistentRanksLintClean)
 {
-    // The cross-rank rules are written once: the image gate
-    // (lintTpImages, each node's kernel read through its relocation)
-    // must reach the artifact linter's MDL6xx verdict on every case.
-    using Mutation = void (*)(std::vector<Artifact> &);
-    const Mutation mutations[] = {
-        [](std::vector<Artifact> &) {},
-        [](std::vector<Artifact> &r) { r[1].model_seed = 99; },
-        [](std::vector<Artifact> &r) {
-            GraphBlueprint extra = r[1].graphs[0];
-            extra.batch_size = 8;
-            r[1].graphs.push_back(std::move(extra));
-        },
-        [](std::vector<Artifact> &r) {
-            r[1].graphs[0].nodes.pop_back();
-            r[1].graphs[0].edges.pop_back();
-        },
-        [](std::vector<Artifact> &r) {
-            std::swap(r[1].graphs[0].nodes[1], r[1].graphs[0].nodes[2]);
-        },
-    };
-    for (std::size_t m = 0; m < std::size(mutations); ++m) {
-        auto ranks = tpArtifacts();
-        mutations[m](ranks);
-        std::vector<MaterializedImage> images;
-        for (const Artifact &a : ranks) {
-            auto bytes = buildImageBytes(a, {});
-            ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
-            images.push_back(
-                MaterializedImage::open(std::move(*bytes)).value());
-        }
-        const auto want =
-            crossRankRules(lint::lintTpArtifacts(ranks, tpOptions()));
-        EXPECT_EQ(crossRankRules(lint::lintTpImages(images, tpOptions())),
-                  want)
-            << "mutation " << m;
-        EXPECT_EQ(want.empty(), m == 0) << "mutation " << m;
-    }
+    const LintReport r = lintTp(tpArtifacts());
+    EXPECT_TRUE(r.clean()) << r.toText();
+}
+
+TEST(LintTest, RankIdentityMismatchFiresMdl601)
+{
+    auto ranks = tpArtifacts();
+    ranks[1].model_seed = 99;
+    const LintReport r = lintTp(ranks);
+    EXPECT_EQ(crossRankRules(r), Rules{"MDL601"}) << r.toText();
+}
+
+TEST(LintTest, BatchSetMismatchFiresMdl602)
+{
+    auto ranks = tpArtifacts();
+    GraphBlueprint extra = ranks[1].graphs[0];
+    extra.batch_size = 8;
+    ranks[1].graphs.push_back(std::move(extra));
+    const LintReport r = lintTp(ranks);
+    EXPECT_EQ(crossRankRules(r), Rules{"MDL602"}) << r.toText();
+}
+
+TEST(LintTest, TopologyMismatchFiresMdl603)
+{
+    auto ranks = tpArtifacts();
+    // Drop the last node and the edge into it, so the image still
+    // builds and only the cross-rank comparison sees the difference.
+    ranks[1].graphs[0].nodes.pop_back();
+    ranks[1].graphs[0].edges.pop_back();
+    const LintReport r = lintTp(ranks);
+    EXPECT_EQ(crossRankRules(r), Rules{"MDL603"}) << r.toText();
+}
+
+TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
+{
+    auto ranks = tpArtifacts();
+    // Same node count and edges, but the collectives run in a
+    // different order on rank 1 — lockstep replay would deadlock.
+    std::swap(ranks[1].graphs[0].nodes[1],
+              ranks[1].graphs[0].nodes[2]);
+    const LintReport r = lintTp(ranks);
+    EXPECT_EQ(crossRankRules(r), Rules{"MDL604"}) << r.toText();
 }
 
 // ---- report rendering --------------------------------------------------
@@ -933,16 +911,29 @@ tinyModel()
 
 TEST(LintTest, OfflineLintGateAcceptsDefaultPipeline)
 {
-    OfflineOptions opts;
-    opts.model = tinyModel();
-    opts.pipeline.validate = false; // the static gate alone
-    opts.pipeline.lint = true;
-    auto result = materialize(opts);
-    ASSERT_TRUE(result.isOk()) << result.status().toString();
-    // And the full-strength check: the shipped artifact has zero
-    // diagnostics, warnings included.
-    const LintReport r = lint::lintArtifact(result->artifact);
-    EXPECT_TRUE(r.clean()) << r.toText();
+    // The reduced model through the static gate alone, and the full
+    // Qwen1.5-0.5B through the validated pipeline offline_materialize
+    // runs.
+    struct Input
+    {
+        llm::ModelConfig model;
+        bool validate;
+    };
+    for (const Input &in :
+         {Input{tinyModel(), false},
+          Input{llm::findModel("Qwen1.5-0.5B").value(), true}}) {
+        OfflineOptions opts;
+        opts.model = in.model;
+        opts.pipeline.validate = in.validate;
+        opts.pipeline.lint = true;
+        auto result = materialize(opts);
+        ASSERT_TRUE(result.isOk())
+            << in.model.name << ": " << result.status().toString();
+        // And the full-strength check: the shipped artifact has zero
+        // diagnostics, warnings included.
+        const LintReport r = lint::lintArtifact(result->artifact);
+        EXPECT_TRUE(r.clean()) << in.model.name << ": " << r.toText();
+    }
 }
 
 TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)

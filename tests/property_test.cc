@@ -10,16 +10,18 @@
  *    ("the i-th data pointer correlates with the i-th buffer
  *    allocation") checked against adversarial control flow.
  *
- * 2. CorruptArtifactNeverCrashes: random byte corruption of a
- *    serialized artifact must yield a Status error (or a benign
- *    artifact), never a crash, when deserialized and restored.
+ * 2. CorruptArtifactNeverCrashes: random byte corruption of a v6
+ *    image (with its CRC re-sealed) must yield a Status error (or a
+ *    benign image), never a crash, when opened and restored.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <span>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "llm/engine.h"
 #include "medusa/analyze.h"
@@ -347,11 +349,12 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
     oopts.pipeline.validate = false;
     auto offline = core::materialize(oopts);
     ASSERT_TRUE(offline.isOk());
-    const auto bytes = offline->artifact.serialize();
-    const auto merges = offline->openImage().value().tokenizer_merges;
+    const std::vector<u8> &bytes = offline->image_bytes;
+    constexpr std::size_t kHeader = core::MaterializedImage::kHeaderBytes;
+    constexpr std::size_t kCrcOffset = 16;
 
     Rng rng(0xfade);
-    int parsed = 0, rejected = 0, restore_failed = 0, restored = 0;
+    int rejected = 0, restore_failed = 0, restored = 0;
     for (int trial = 0; trial < 60; ++trial) {
         auto corrupt = bytes;
         const int flips = 1 + static_cast<int>(rng.nextBounded(8));
@@ -359,22 +362,16 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
             corrupt[rng.nextBounded(corrupt.size())] ^=
                 static_cast<u8>(1 + rng.nextBounded(255));
         }
-        auto artifact = Artifact::deserialize(corrupt);
-        if (!artifact.isOk()) {
-            ++rejected;
-            continue;
-        }
-        ++parsed;
-        // A parsed artifact still has to flatten and open as an image
-        // before anything restores from it.
-        auto image_bytes = core::buildImageBytes(*artifact, merges);
-        if (!image_bytes.isOk()) {
-            ++restore_failed;
-            continue;
-        }
-        auto image = core::MaterializedImage::open(std::move(*image_bytes));
+        // Re-seal the payload CRC, or it rejects every trial and the
+        // decode, slot-layout and relocation-bounds checks behind it
+        // never see the flipped bytes.
+        const u32 crc =
+            crc32(corrupt.data() + kHeader, corrupt.size() - kHeader);
+        std::memcpy(corrupt.data() + kCrcOffset, &crc, sizeof(crc));
+        auto image = core::MaterializedImage::openView(
+            std::span<const u8>(corrupt));
         if (!image.isOk()) {
-            ++restore_failed;
+            ++rejected;
             continue;
         }
         core::MedusaEngine::Options eopts;
@@ -389,9 +386,10 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
         }
     }
     // The property under test is "no crash"; the distribution is
-    // informational.
-    EXPECT_EQ(parsed + rejected, 60);
-    EXPECT_GT(rejected + restore_failed + restored, 0);
+    // informational, except that some trial must reach the restore.
+    EXPECT_EQ(rejected + restore_failed + restored, 60);
+    EXPECT_GT(restore_failed + restored, 0)
+        << "every trial was rejected at open";
 }
 
 } // namespace

@@ -1,16 +1,12 @@
 /**
  * @file
- * Concurrency and format hardening around the restore: the sectioned
- * zero-copy v5 artifact format (content skipping, CRC rejection,
- * truncation) and concurrent whole-engine cold starts sharing one
+ * Concurrency around the restore: whole-engine cold starts sharing one
  * opened image, whose simulated results must be bit-identical (the
  * TSan target of scripts/check.sh).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <span>
 #include <thread>
 
 #include "llm/engine.h"
@@ -20,8 +16,6 @@
 namespace medusa {
 namespace {
 
-using core::Artifact;
-using core::ArtifactReadOptions;
 using core::MaterializedImage;
 using core::MedusaEngine;
 using core::OfflineOptions;
@@ -51,12 +45,6 @@ sharedOffline()
         return materialize(opts).value();
     }();
     return result;
-}
-
-const Artifact &
-sharedArtifact()
-{
-    return sharedOffline().artifact;
 }
 
 /** The shared offline run's image, opened once (zero-copy). */
@@ -103,100 +91,6 @@ expectSameReport(const RestoreReport &a, const RestoreReport &b)
     EXPECT_EQ(a.kernels_resolved, b.kernels_resolved);
     EXPECT_EQ(a.graphs_patched, b.graphs_patched);
     EXPECT_EQ(a.validated, b.validated);
-}
-
-TEST(RestoreParallel, SkipContentsDropsPermanentAndFixesTogether)
-{
-    const Artifact &original = sharedArtifact();
-    ASSERT_FALSE(original.permanent.empty());
-    const std::vector<u8> bytes = original.serialize();
-    ArtifactReadOptions opts;
-    opts.load_permanent_contents = false;
-    auto skipped = Artifact::deserializeView(std::span<const u8>(bytes),
-                                             opts);
-    ASSERT_TRUE(skipped.isOk()) << skipped.status().toString();
-    // Pointer fixes reference materialized contents (lint MDL402), so
-    // the two sections skip as a unit.
-    EXPECT_TRUE(skipped->permanent.empty());
-    EXPECT_TRUE(skipped->pointer_fixes.empty());
-    EXPECT_TRUE(skipped->contents_skipped);
-    EXPECT_EQ(skipped->graphs.size(), original.graphs.size());
-    EXPECT_EQ(skipped->totalNodes(), original.totalNodes());
-
-    // A contents-off restore (the consumer that skips them) runs fine
-    // from the image flattened out of the skimmed artifact.
-    auto image_bytes = core::buildImageBytes(
-        *skipped, sharedImage().tokenizer_merges);
-    ASSERT_TRUE(image_bytes.isOk()) << image_bytes.status().toString();
-    auto image = MaterializedImage::open(std::move(*image_bytes));
-    ASSERT_TRUE(image.isOk()) << image.status().toString();
-    MedusaEngine::Options copts;
-    copts.model = tinyModel();
-    copts.restore.restore_contents = false;
-    auto engine = MedusaEngine::coldStartFromImage(copts, *image);
-    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
-    EXPECT_EQ((*engine)->coldStartReport().restore.restored_content_bytes, 0u);
-}
-
-/** Offset of the section-table entry for @p id (24-byte entries). */
-std::size_t
-sectionTableEntry(const std::vector<u8> &bytes, u32 id)
-{
-    u32 count = 0;
-    std::memcpy(&count, bytes.data() + 8, sizeof(count));
-    for (u32 i = 0; i < count; ++i) {
-        const std::size_t at = 12 + i * 24;
-        u32 entry_id = 0;
-        std::memcpy(&entry_id, bytes.data() + at, sizeof(entry_id));
-        if (entry_id == id) {
-            return at;
-        }
-    }
-    ADD_FAILURE() << "section " << id << " not found";
-    return 0;
-}
-
-TEST(RestoreParallel, CorruptedGraphPayloadFailsItsCrc)
-{
-    std::vector<u8> bytes = sharedArtifact().serialize();
-    const std::size_t entry = sectionTableEntry(bytes, /*GRAPHS=*/3);
-    u64 offset = 0;
-    u64 size = 0;
-    std::memcpy(&offset, bytes.data() + entry + 8, sizeof(offset));
-    std::memcpy(&size, bytes.data() + entry + 16, sizeof(size));
-    // A byte in the back half of the section is inside some graph's
-    // payload (past the sub-index), so only a per-graph CRC covers it.
-    bytes[offset + size - size / 4] ^= 0xff;
-    auto result = Artifact::deserializeView(std::span<const u8>(bytes));
-    ASSERT_FALSE(result.isOk());
-    EXPECT_NE(result.status().toString().find("CRC"), std::string::npos)
-        << result.status().toString();
-}
-
-TEST(RestoreParallel, CorruptedSectionIndexFailsItsCrc)
-{
-    std::vector<u8> bytes = sharedArtifact().serialize();
-    const std::size_t entry = sectionTableEntry(bytes, /*META=*/1);
-    u64 offset = 0;
-    std::memcpy(&offset, bytes.data() + entry + 8, sizeof(offset));
-    bytes[offset] ^= 0xff;
-    auto result =
-        Artifact::deserializeView(std::span<const u8>(bytes));
-    ASSERT_FALSE(result.isOk());
-    EXPECT_NE(result.status().toString().find("CRC"), std::string::npos)
-        << result.status().toString();
-}
-
-TEST(RestoreParallel, TruncationAnywhereFails)
-{
-    const std::vector<u8> bytes = sharedArtifact().serialize();
-    for (std::size_t cut :
-         {bytes.size() - 1, bytes.size() / 2, bytes.size() / 4,
-          std::size_t{30}, std::size_t{9}}) {
-        const std::span<const u8> view(bytes.data(), cut);
-        auto result = Artifact::deserializeView(view);
-        EXPECT_FALSE(result.isOk()) << "prefix of " << cut << " bytes";
-    }
 }
 
 TEST(RestoreParallel, ConcurrentColdStartsShareOneArtifact)

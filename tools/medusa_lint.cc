@@ -1,27 +1,27 @@
 /**
  * @file
- * medusa_lint: static artifact verification from the command line.
+ * medusa_lint: static image verification from the command line.
  *
- * Analyzes one or more serialized artifacts WITHOUT executing replay
- * and reports rule-tagged diagnostics (see src/medusa/lint/lint.h and
- * DESIGN.md §9). With several inputs the cross-rank tensor-parallel
- * rules (MDL6xx) also run, treating the files as ranks 0..N-1.
+ * Analyzes one or more v6 images WITHOUT executing replay and reports
+ * rule-tagged diagnostics (see src/medusa/lint/lint.h and DESIGN.md §9):
+ * the MDL1xx op-sequence, MDL7xx relocation and MDL8xx determinism
+ * rules. Several inputs are linted one by one, each diagnostic
+ * prefixed with its file. The artifact rules (MDL1xx-5xx over the
+ * analysis product) run in the offline phase's lint gate, which also
+ * has the raw capture trace.
  *
  * Usage:
- *   medusa_lint [options] <artifact.medusa> [rank1.medusa ...]
- *   medusa_lint --image [options] <image.mdsi> [more.mdsi ...]
+ *   medusa_lint [options] <image.mdsi> [more.mdsi ...]
  *
  * Options:
- *   --image                inputs are v6 relocation images; run the
- *                          MDL7xx/MDL8xx image rules on each
  *   --json                 emit a JSON report instead of text
  *   --sarif                emit a SARIF 2.1.0 report instead of text
- *   --no-registry          skip kernel-registry rules (MDL301/302)
- *   --device-bytes <n>     device capacity for MDL5xx (default 40 GiB)
+ *   --no-registry          skip resolving kernels against the kernel
+ *                          registry (parameter types and access sets
+ *                          for MDL705 and MDL8xx)
+ *   --device-bytes <n>     device capacity for MDL104 (default 40 GiB)
  *   --device-index <i>     capture device for the MDL705 pointer-window
  *                          heuristic (default 0)
- *   --collective <module>  collective module for MDL604
- *                          (default libsimnccl.so)
  *   --max-severity <s>     highest severity that still exits 0:
  *                          info (any warning fails), warning (the
  *                          default: only errors fail), or error
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/serialize.h"
-#include "medusa/image.h"
 #include "medusa/lint/lint.h"
 
 using namespace medusa;
@@ -52,10 +51,10 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--image] [--json|--sarif] [--no-registry]\n"
+        "usage: %s [--json|--sarif] [--no-registry]\n"
         "       [--device-bytes N] [--device-index I]\n"
-        "       [--collective MODULE] [--max-severity info|warning|error]\n"
-        "       <artifact.medusa> [rank1 ...]\n",
+        "       [--max-severity info|warning|error]\n"
+        "       <image.mdsi> [more.mdsi ...]\n",
         argv0);
     return 2;
 }
@@ -68,7 +67,6 @@ main(int argc, char **argv)
     LintOptions options;
     bool json = false;
     bool sarif = false;
-    bool image_mode = false;
     // Highest severity still acceptable for exit 0. The default keeps
     // the historical behavior: warnings pass, errors fail.
     core::lint::Severity max_severity = core::lint::Severity::kWarning;
@@ -79,8 +77,6 @@ main(int argc, char **argv)
             json = true;
         } else if (arg == "--sarif") {
             sarif = true;
-        } else if (arg == "--image") {
-            image_mode = true;
         } else if (arg == "--no-registry") {
             options.check_kernel_registry = false;
         } else if (arg == "--device-bytes") {
@@ -95,11 +91,6 @@ main(int argc, char **argv)
             }
             options.device_index = static_cast<u32>(
                 std::strtoul(argv[i], nullptr, 0));
-        } else if (arg == "--collective") {
-            if (++i >= argc) {
-                return usage(argv[0]);
-            }
-            options.collective_module = argv[i];
         } else if (arg == "--max-severity") {
             if (++i >= argc) {
                 return usage(argv[0]);
@@ -127,40 +118,7 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    if (image_mode) {
-        LintReport report;
-        for (const std::string &path : paths) {
-            auto bytes = readFile(path);
-            if (!bytes.isOk()) {
-                std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                             bytes.status().toString().c_str());
-                return 2;
-            }
-            LintReport one = core::lint::lintImageBytes(
-                std::span<const u8>(*bytes), options);
-            if (paths.size() > 1) {
-                for (auto &diag : one.diagnostics) {
-                    diag.location = path + ": " + diag.location;
-                }
-            }
-            report.merge(std::move(one));
-        }
-        if (json) {
-            std::printf("%s\n", report.toJson().c_str());
-        } else if (sarif) {
-            std::printf("%s\n", report.toSarif().c_str());
-        } else {
-            std::printf("%s", report.toText().c_str());
-        }
-        for (const auto &diag : report.diagnostics) {
-            if (diag.severity > max_severity) {
-                return 1;
-            }
-        }
-        return 0;
-    }
-
-    std::vector<core::Artifact> artifacts;
+    LintReport report;
     for (const std::string &path : paths) {
         auto bytes = readFile(path);
         if (!bytes.isOk()) {
@@ -168,35 +126,20 @@ main(int argc, char **argv)
                          bytes.status().toString().c_str());
             return 2;
         }
-        // Zero-copy parse straight out of the file buffer; the vector
-        // only needs to outlive the call (decoded data is owned by the
-        // Artifact).
-        auto artifact =
-            core::Artifact::deserializeView(std::span<const u8>(*bytes));
-        if (!artifact.isOk()) {
-            std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                         artifact.status().toString().c_str());
-            return 2;
+        LintReport one = core::lint::lintImageBytes(
+            std::span<const u8>(*bytes), options);
+        if (paths.size() > 1) {
+            for (auto &diag : one.diagnostics) {
+                diag.location = path + ": " + diag.location;
+            }
         }
-        artifacts.push_back(std::move(*artifact));
+        report.merge(std::move(one));
     }
-
-    const LintReport report =
-        artifacts.size() == 1
-            ? core::lint::lintArtifact(artifacts[0], options)
-            : core::lint::lintTpArtifacts(artifacts, options);
     if (json) {
         std::printf("%s\n", report.toJson().c_str());
     } else if (sarif) {
         std::printf("%s\n", report.toSarif().c_str());
     } else {
-        if (artifacts.size() == 1) {
-            std::printf("%s: model %s, %zu graphs, %zu ops\n",
-                        paths[0].c_str(),
-                        artifacts[0].model_name.c_str(),
-                        artifacts[0].graphs.size(),
-                        artifacts[0].ops.size());
-        }
         std::printf("%s", report.toText().c_str());
     }
     for (const auto &diag : report.diagnostics) {
